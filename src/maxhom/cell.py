@@ -49,8 +49,11 @@ from .fields import (
     MatrixField,
     ScalarField,
     VectorField,
+    curl,
     div_vals,
+    divergence,
     fftn,
+    grad_norm2_mean,
     grad_vals,
     curl_vals,
     ifftn,
@@ -64,8 +67,9 @@ from .fields import (
     arithmetic_mean_matrix,
 )
 from .lattice import GridSpec
-from .operators import apply_sym, apply_symbol, matrix_inv_sqrt, sym_symbol_inverse
-from .solvers import SolveInfo, pcg
+from .operators import (apply_sym, apply_symbol, elliptic_operator, guarded_div,
+                        matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
+from .solvers import SolveInfo, pcg, validate_tol
 
 _EYE3 = np.eye(3)
 
@@ -96,8 +100,7 @@ class CellSolution:
         return self.coefficient.grid
 
     def effective_sqrt(self) -> np.ndarray:
-        w, v = np.linalg.eigh(self.effective)
-        return v @ np.diag(np.sqrt(w)) @ v.T
+        return matrix_sqrt(self.effective)
 
     def effective_inv_sqrt(self) -> np.ndarray:
         return matrix_inv_sqrt(self.effective)
@@ -110,20 +113,10 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     Raises :class:`~maxhom.solvers.NoConvergence` if CG stalls before `tol`
     (preconditioned residual relative to the source norm).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     grid = a.grid
     av = a.matrix.values
-    a_ref = mean(a.matrix).real
-    pm = np.einsum("ij,i...,j...->...", a_ref, grid.freq_deriv, grid.freq_deriv)
-    inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
-
-    def apply_op(phi):
-        return -div_vals(grid, matvec_vals(av, grad_vals(grid, phi)))
-
-    def apply_prec(r):
-        return ifftn(inv_pm * fftn(r))
-
+    apply_op, apply_prec = elliptic_operator(a)
     potentials, grads, infos = [], [], []
     for j in range(3):
         b = div_vals(grid, av[:, j])
@@ -191,11 +184,8 @@ def cell_identity_slacks(cell: CellSolution, dealias: bool = True) -> dict:
         tilde = pointwise(a.matrix, one_plus_y, "mm", dealias=True)
     else:
         tilde = cell.tilde
-    div_cols = []
-    for j in range(3):
-        col = VectorField(grid, tilde.values[:, j], real=True)
-        div_cols.append(l2_norm(ScalarField(grid, div_vals(grid, col.values))))
-    out["div_tilde"] = max(div_cols)
+    out["div_tilde"] = max(l2_norm(divergence(VectorField(grid, tilde.values[:, j])))
+                           for j in range(3))
 
     harm = harmonic_mean_matrix(a)
     arith = arithmetic_mean_matrix(a).real
@@ -217,9 +207,7 @@ def cell_identity_slacks(cell: CellSolution, dealias: bool = True) -> dict:
     out["potential_norm_bound"] = float(
         np.sqrt(sup_a * sup_ainv * vol) / (2.0 * cell.grid.lattice.r0))
 
-    wref = pointwise(
-        MatrixField(grid, a.power(-0.5).values, real=True), tilde, "mm",
-        dealias=dealias)
+    wref = pointwise(a.power(-0.5), tilde, "mm", dealias=dealias)
     wref_vals = np.einsum("ij...,jk->ik...", wref.values,
                           matrix_inv_sqrt(cell.effective))
     out["wstar_consistency"] = l2_norm(
@@ -244,10 +232,7 @@ def build_antisym_potentials(cell: CellSolution) -> tuple[np.ndarray, np.ndarray
     if np.max(np.abs(rhs)) == 0.0:
         zero = np.zeros((3, 3) + grid.n, dtype=complex)
         return zero, np.zeros((3, 3, 3) + grid.n, dtype=complex)
-    rh = fftn(rhs)
-    k2 = grid.k2_deriv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uh = np.where(k2 > 0, -rh / np.where(k2 > 0, k2, 1.0), 0.0)
+    uh = guarded_div(-fftn(rhs), grid.k2_deriv)
     U = ifftn(uh)
     dU = np.empty((3,) + U.shape, dtype=complex)  # dU[d, l, i] = d_d U_li
     for d in range(3):
@@ -267,16 +252,10 @@ def build_antisym_potentials(cell: CellSolution) -> tuple[np.ndarray, np.ndarray
 
 def _cross_const_left(l: int, v: np.ndarray) -> np.ndarray:
     """e_l x v for an array of shape (3, n1, n2, n3)."""
+    a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
     out = np.zeros_like(v)
-    if l == 0:
-        out[1] = -v[2]
-        out[2] = v[1]
-    elif l == 1:
-        out[0] = v[2]
-        out[2] = -v[0]
-    else:
-        out[0] = -v[1]
-        out[1] = v[0]
+    out[a] = -v[b]
+    out[b] = v[a]
     return out
 
 
@@ -300,12 +279,6 @@ class CorrectorSet:
     @property
     def grid(self) -> GridSpec:
         return self.a_cell.grid
-
-    def U_field(self, l: int, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.U[l, i], real=True)
-
-    def M_field(self, i: int, l: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.M[i, l, j], real=True)
 
 
 def _branch_cells(eta_cell: CellSolution, mu_cell: CellSolution, branch: str):
@@ -342,8 +315,7 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     grid 2x and dominates the cost on large grids); the slack arrays are then
     None.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     a_cell, b_cell = _branch_cells(eta_cell, mu_cell, branch)
     grid = a_cell.grid
     A = a_cell.coefficient
@@ -451,13 +423,10 @@ def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
     """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
     grid = a_cell.grid
     c = a_cell.effective_inv_sqrt()[:, j]
-    elc = _cross_const_left(l, np.broadcast_to(c.reshape(3, 1, 1, 1),
-                                               (3,) + grid.n).astype(complex))
     b0_inv = np.linalg.inv(b_cell.effective)
     h = b0_inv @ np.cross(_EYE3[l], c)
-    one_plus_yb = MatrixField(grid, b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1),
-                              real=True)
-    t1 = 1j * matvec_vals(one_plus_yb.values, np.broadcast_to(
+    one_plus_yb = b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1)
+    t1 = 1j * matvec_vals(one_plus_yb, np.broadcast_to(
         h.reshape(3, 1, 1, 1), (3,) + grid.n).astype(complex))
     ya_c = matvec_vals(a_cell.Y.values, np.broadcast_to(
         c.reshape(3, 1, 1, 1), (3,) + grid.n).astype(complex)) + c.reshape(3, 1, 1, 1)
@@ -469,21 +438,19 @@ def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
 
 
 def _corrector_identity_slacks(a_cell, b_cell, f_fields, dealias=True):
-    grid = a_cell.grid
-    a_sqrt_m = MatrixField(grid, a_cell.coefficient.power(0.5).values, real=True)
-    a_isqrt_m = MatrixField(grid, a_cell.coefficient.power(-0.5).values, real=True)
-    binv_m = MatrixField(grid, b_cell.coefficient.inv().values, real=True)
+    a_sqrt_m = a_cell.coefficient.power(0.5)
+    a_isqrt_m = a_cell.coefficient.power(-0.5)
+    binv_m = b_cell.coefficient.inv()
     div_slack = np.zeros((3, 3))
     rot_slack = np.zeros((3, 3))
     for l in range(3):
         for j in range(3):
             f = f_fields[l][j]
             sf = pointwise(a_sqrt_m, f, "mv", dealias=dealias)
-            div_act = ScalarField(grid, div_vals(grid, sf.values))
+            div_act = divergence(sf)
             div_slack[l, j] = l2_norm(
                 sub(div_act, corrector_divergence_target(a_cell, l, j)))
-            cf = VectorField(grid, curl_vals(
-                grid, pointwise(a_isqrt_m, f, "mv", dealias=dealias).values))
+            cf = curl(pointwise(a_isqrt_m, f, "mv", dealias=dealias))
             rot_act = pointwise(binv_m, cf, "mv", dealias=dealias)
             rot_slack[l, j] = l2_norm(
                 sub(rot_act, corrector_rotation_target(a_cell, b_cell, l, j,
@@ -513,28 +480,11 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
     Cb = matvec_vals(b_cell.coefficient.matrix.values, C.values)
     D = corrector_divergence_target(a_cell, l, j)
 
-    # g_C: curl g_C = Cb, div g_C = 0 (needs div Cb = 0, true to solver tol)
-    ch = fftn(Cb)
-    k = grid.freq_deriv
-    k2 = grid.k2_deriv
-    kxc = np.empty_like(ch)
-    kxc[0] = k[1] * ch[2] - k[2] * ch[1]
-    kxc[1] = k[2] * ch[0] - k[0] * ch[2]
-    kxc[2] = k[0] * ch[1] - k[1] * ch[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gh = np.where(k2 > 0, 1j * kxc / np.where(k2 > 0, k2, 1.0), 0.0)
-    g_c = ifftn(gh)
+    # g_C = curl (-Laplace)^-1 Cb: curl g_C = Cb, div g_C = 0 (needs
+    # div Cb = 0, true to solver tol)
+    g_c = curl_vals(grid, ifftn(guarded_div(fftn(Cb), grid.k2_deriv)))
 
-    a_ref = mean(A.matrix).real
-    pm = np.einsum("ij,i...,j...->...", a_ref, grid.freq_deriv, grid.freq_deriv)
-    inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
-
-    def apply_op(p):
-        return -div_vals(grid, matvec_vals(av, grad_vals(grid, p)))
-
-    def apply_prec(res):
-        return ifftn(inv_pm * fftn(res))
-
+    apply_op, apply_prec = elliptic_operator(A)
     rhs = -(D.values - div_vals(grid, matvec_vals(av, g_c)))
     rhs = rhs - rhs.mean()
     p0, _ = pcg(apply_op, rhs, apply_prec, tol, maxiter,
@@ -594,7 +544,7 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
             u2 = np.sum(np.abs(u) ** 2, axis=0)
             lhs = float(np.mean(yeps2 * u2))
             unorm2 = float(np.mean(u2))
-            gn2 = _grad_norm2_mean(grid, u)
+            gn2 = grad_norm2_mean(grid, u)
             denom = eps * eps * c_hat * c_hat * gn2
             if denom > 0:
                 need = max(need, (lhs - beta1 * unorm2) / denom)
@@ -609,11 +559,6 @@ def _random_band_limited_vector(grid: GridSpec, max_mode: int, rng) -> np.ndarra
     spec[:, sel] = rng.standard_normal((3, cnt)) + 1j * rng.standard_normal((3, cnt))
     u = ifftn(spec)
     return u.real.astype(complex)
-
-
-def _grad_norm2_mean(grid: GridSpec, u: np.ndarray) -> float:
-    uh = fftn(u) / grid.size
-    return float(np.sum(grid.k2_deriv * np.abs(uh) ** 2))
 
 
 def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
@@ -636,7 +581,7 @@ def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
     u2 = np.sum(np.abs(u.values) ** 2, axis=0)
     lhs = float(w * np.sum(y2 * u2))
     unorm2 = float(w * np.sum(u2))
-    gn2 = _grad_norm2_mean(grid, u.values) * grid.cell_volume
+    gn2 = grad_norm2_mean(grid, u.values) * grid.cell_volume
     rhs = bounds.beta1 * unorm2 + bounds.beta2 * eps * eps * bounds.c_hat**2 * gn2
     if lhs > rhs * (1.0 + 1e-10):
         raise AssertionError(

@@ -36,7 +36,7 @@ from .harness import (
 )
 from .lattice import DegenerateBasis, GridSpec, GridError, make_lattice
 from .maxwell import TORUS_REGIME_NOTE, make_problem, run_maxwell
-from .solvers import NoConvergence
+from .solvers import NoConvergence, validate_tol
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -229,6 +229,10 @@ def _setup(cfg: RunConfig, out_override, workers, tol):
         cfg.workers = workers
     if tol is not None:
         cfg.tol = tol
+    try:
+        validate_tol(cfg.tol)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from None
     if out_override is not None:
         cfg.out_dir = out_override
     fields.set_fft_workers(cfg.workers)

@@ -2,9 +2,14 @@
 
 Fields are complex samples on a :class:`~maxhom.lattice.GridSpec`; a scalar
 field stores shape (n1, n2, n3), a vector field (3, n1, n2, n3), and a matrix
-field (3, 3, n1, n2, n3).  All calculus (gradient, divergence, curl, Poisson
-inverse) acts on the trigonometric interpolant and is therefore exact on
-band-limited data; there are no finite differences anywhere.
+field (3, 3, n1, n2, n3).  All calculus (gradient, divergence, curl) acts on
+the trigonometric interpolant and is therefore exact on band-limited data;
+there are no finite differences anywhere.
+
+The raw-array ``*_vals`` functions are the one implementation of the
+calculus; the :class:`Field` functions wrap them, and every operator, symbol,
+symbol inverse and the elliptic solver built on them live in
+:mod:`maxhom.operators`.
 
 curl is realized through the representation curl = sum_j b_j D_j with the
 constant antisymmetric matrices b_j, i.e. mode-wise as i k x (.), and shares
@@ -108,11 +113,6 @@ def scalar_from_function(grid: GridSpec, fn, real=True) -> ScalarField:
     return ScalarField(grid, fn(grid.coords()), real=real)
 
 
-def vector_from_function(grid: GridSpec, fn, real=True) -> VectorField:
-    x = grid.coords()
-    return VectorField(grid, np.stack([fn(x)[d] for d in range(3)]), real=real)
-
-
 def _check_same_grid(a: Field, b) -> None:
     bg = b.grid if isinstance(b, Field) else b
     if not a.grid.compatible(bg):
@@ -120,30 +120,53 @@ def _check_same_grid(a: Field, b) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spectral calculus
+# spectral calculus: the raw-array layer, then its Field wrappers
 # ---------------------------------------------------------------------------
 
 
-def gradient(f: ScalarField) -> VectorField:
-    fh = fftn(f.values)
-    out = ifftn(1j * f.grid.freq_deriv * fh[None])
-    return VectorField(f.grid, out, real=f.real)
+def grad_vals(grid: GridSpec, s: np.ndarray) -> np.ndarray:
+    return ifftn(1j * grid.freq_deriv * fftn(s)[None])
 
 
-def divergence(v: VectorField) -> ScalarField:
-    vh = fftn(v.values)
-    out = ifftn(np.einsum("d...,d...->...", 1j * v.grid.freq_deriv, vh))
-    return ScalarField(v.grid, out, real=v.real)
+def div_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    return ifftn(np.einsum("d...,d...->...", 1j * grid.freq_deriv, fftn(v)))
 
 
-def curl(v: VectorField) -> VectorField:
-    k = v.grid.freq_deriv
-    vh = fftn(v.values)
+def curl_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
+    k = grid.freq_deriv
+    vh = fftn(v)
     out = np.empty_like(vh)
     out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
     out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
     out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
-    return VectorField(v.grid, ifftn(out), real=v.real)
+    return ifftn(out)
+
+
+def grad_norm2_mean(grid: GridSpec, vals: np.ndarray) -> float:
+    """|Omega|^-1 ||grad vals||^2 (componentwise), from the Fourier coefficients."""
+    vh = fftn(vals) / grid.size
+    return float(np.sum(grid.k2_deriv * np.abs(vh) ** 2))
+
+
+def matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("ij...,j...->i...", m, v)
+
+
+def const_matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Constant 3x3 matrix applied to a vector-valued array (3, n)."""
+    return np.einsum("ij,j...->i...", m, v)
+
+
+def gradient(f: ScalarField) -> VectorField:
+    return VectorField(f.grid, grad_vals(f.grid, f.values), real=f.real)
+
+
+def divergence(v: VectorField) -> ScalarField:
+    return ScalarField(v.grid, div_vals(v.grid, v.values), real=v.real)
+
+
+def curl(v: VectorField) -> VectorField:
+    return VectorField(v.grid, curl_vals(v.grid, v.values), real=v.real)
 
 
 def mean(f: Field):
@@ -172,51 +195,7 @@ def inner(f: Field, g: Field) -> complex:
 
 def grad_norm(f: Field) -> float:
     """L2 norm of the (componentwise) gradient, computed in Fourier space."""
-    fh = fftn(f.values) / f.grid.size
-    k2 = f.grid.k2_deriv
-    return float(
-        np.sqrt(f.grid.cell_volume * np.sum(k2 * np.abs(fh) ** 2))
-    )
-
-
-def poisson_solve(rhs: ScalarField) -> ScalarField:
-    """Zero-mean periodic solution of Laplace(u) = rhs (Cartesian Laplacian).
-
-    Exact in Fourier: division by -|k|^2.  Modes with |k|^2 = 0 under the
-    derivative convention (the zero mode and pure Nyquist modes) are dropped;
-    solvability therefore requires mean(rhs) = 0, which the caller guarantees.
-    """
-    g = rhs.grid
-    rh = fftn(rhs.values)
-    k2 = g.k2_deriv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uh = np.where(k2 > 0, -rh / np.where(k2 > 0, k2, 1.0), 0.0)
-    return ScalarField(g, ifftn(uh), real=rhs.real)
-
-
-# raw-array variants used inside the iterative solvers (no Field wrappers)
-
-
-def grad_vals(grid: GridSpec, s: np.ndarray) -> np.ndarray:
-    return ifftn(1j * grid.freq_deriv * fftn(s)[None])
-
-
-def div_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    return ifftn(np.einsum("d...,d...->...", 1j * grid.freq_deriv, fftn(v)))
-
-
-def curl_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    k = grid.freq_deriv
-    vh = fftn(v)
-    out = np.empty_like(vh)
-    out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
-    out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
-    out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
-    return ifftn(out)
-
-
-def matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij...,j...->i...", m, v)
+    return float(np.sqrt(f.grid.cell_volume * grad_norm2_mean(f.grid, f.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +203,19 @@ def matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _pad_spectrum(vals: np.ndarray, n, pn) -> np.ndarray:
-    """Zero-pad the spectrum of `vals` from grid n to grid pn (per axis)."""
+def _resize_spectrum(vals: np.ndarray, n_from, n_to) -> np.ndarray:
+    """Resample `vals` from grid n_from to grid n_to (per axis) by zero-padding
+    or truncating its spectrum; the shared modes keep their coefficients."""
     vh = fftn(vals)
-    out = np.zeros(vals.shape[:-3] + tuple(pn), dtype=complex)
+    out = np.zeros(vals.shape[:-3] + tuple(n_to), dtype=complex)
     sl = [slice(None)] * (vals.ndim - 3)
     idx_src, idx_dst = [], []
-    for nk, pk in zip(n, pn):
-        h = nk // 2
-        idx_src.append(np.r_[0:h, nk - h : nk])
-        idx_dst.append(np.r_[0:h, pk - h : pk])
-    src = np.ix_(*idx_src)
-    dst = np.ix_(*idx_dst)
-    out[tuple(sl) + dst] = vh[tuple(sl) + src]
-    scale = np.prod(pn) / np.prod(n)
-    return ifftn(out * scale)
-
-
-def _truncate_spectrum(vals: np.ndarray, pn, n) -> np.ndarray:
-    vh = fftn(vals)
-    out = np.zeros(vals.shape[:-3] + tuple(n), dtype=complex)
-    sl = [slice(None)] * (vals.ndim - 3)
-    idx_src, idx_dst = [], []
-    for nk, pk in zip(n, pn):
-        h = nk // 2
-        idx_src.append(np.r_[0:h, pk - h : pk])
-        idx_dst.append(np.r_[0:h, nk - h : nk])
+    for nf, nt in zip(n_from, n_to):
+        h = min(nf, nt) // 2
+        idx_src.append(np.r_[0:h, nf - h : nf])
+        idx_dst.append(np.r_[0:h, nt - h : nt])
     out[tuple(sl) + np.ix_(*idx_dst)] = vh[tuple(sl) + np.ix_(*idx_src)]
-    scale = np.prod(n) / np.prod(pn)
+    scale = np.prod(n_to) / np.prod(n_from)
     return ifftn(out * scale)
 
 
@@ -284,10 +248,10 @@ def pointwise(a: Field, b: Field, spec: str, dealias: bool = False) -> Field:
     g = a.grid
     if dealias:
         pn = tuple(2 * nk for nk in g.n)
-        av = _pad_spectrum(a.values, g.n, pn)
-        bv = _pad_spectrum(b.values, g.n, pn)
+        av = _resize_spectrum(a.values, g.n, pn)
+        bv = _resize_spectrum(b.values, g.n, pn)
         pv = _product_values(av, bv, spec)
-        vals = _truncate_spectrum(pv, pn, g.n)
+        vals = _resize_spectrum(pv, pn, g.n)
     else:
         vals = _product_values(a.values, b.values, spec)
     cls = {"ss": ScalarField, "sv": VectorField, "sm": MatrixField,
@@ -302,12 +266,8 @@ def matvec(m: MatrixField, v: VectorField, dealias: bool = False) -> VectorField
 def const_matvec(m, v: VectorField) -> VectorField:
     """Constant 3x3 matrix applied to a vector field."""
     m = np.asarray(m)
-    vals = np.einsum("ij,j...->i...", m, v.values)
-    return VectorField(v.grid, vals, real=v.real and np.isrealobj(m))
-
-
-def transpose(m: MatrixField) -> MatrixField:
-    return MatrixField(m.grid, np.swapaxes(m.values, 0, 1), real=m.real)
+    return VectorField(v.grid, const_matvec_vals(m, v.values),
+                       real=v.real and np.isrealobj(m))
 
 
 def add(a: Field, b: Field) -> Field:
@@ -412,13 +372,6 @@ class CoefficientField:
     def sup_norms(self) -> tuple[float, float]:
         """(||a||_Linf, ||a^-1||_Linf) over the grid (pointwise operator norms)."""
         return self.ess_upper, 1.0 / self.ess_lower
-
-
-def identity_coefficient(grid: GridSpec, value: float = 1.0) -> CoefficientField:
-    vals = np.zeros((3, 3) + grid.n, dtype=complex)
-    for d in range(3):
-        vals[d, d] = value
-    return CoefficientField(MatrixField(grid, vals, real=True))
 
 
 def harmonic_mean_matrix(a: CoefficientField) -> np.ndarray:

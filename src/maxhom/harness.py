@@ -78,11 +78,6 @@ def smoothed_pulse(t: np.ndarray, fill: float, width: float) -> np.ndarray:
     return out
 
 
-def _fractional_coords(grid: GridSpec) -> np.ndarray:
-    t = [np.arange(nk) / nk - 0.5 for nk in grid.n]
-    return np.stack(np.meshgrid(*t, indexing="ij"))
-
-
 def _isotropic(grid: GridSpec, profile: np.ndarray) -> CoefficientField:
     vals = np.zeros((3, 3) + grid.n, dtype=complex)
     for d in range(3):
@@ -109,7 +104,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
             raise InvalidParams(f"fill must be in (0, 1): {fill}")
         width = float(p.get("width", 0.05))
         axis = int(p.get("axis", 0))
-        t = _fractional_coords(grid)[axis]
+        t = grid.fractional_coords()[axis]
         prof = beta + (alpha - beta) * smoothed_pulse(t, fill, width)
         return _isotropic(grid, prof)
 
@@ -120,7 +115,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
         axis = int(p.get("axis", 0))
         if base - abs(amp) <= 0:
             raise InvalidParams(f"trig profile not positive: base {base} amp {amp}")
-        t = _fractional_coords(grid)[axis]
+        t = grid.fractional_coords()[axis]
         prof = base + amp * np.cos(2.0 * np.pi * mode * t)
         return _isotropic(grid, prof)
 
@@ -133,7 +128,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
         rng = np.random.default_rng(desc.seed)
         qmat, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         phases = rng.uniform(0, 2 * np.pi, size=3)
-        t = _fractional_coords(grid)
+        t = grid.fractional_coords()
         vals = np.zeros((3, 3) + grid.n, dtype=complex)
         for kdir in range(3):
             d = base[kdir] * (
@@ -147,7 +142,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
             raise InvalidParams(f"contrast must be positive: {alpha}, {beta}")
         width = float(p.get("width", 0.08))
         ax1, ax2 = (int(a) for a in p.get("axes", (0, 1)))
-        t = _fractional_coords(grid)
+        t = grid.fractional_coords()
         s1 = smoothed_pulse(t[ax1], 0.5, width)
         s2 = smoothed_pulse(t[ax2], 0.5, width)
         s = s1 * s2 + (1.0 - s1) * (1.0 - s2)

@@ -122,17 +122,20 @@ class GridSpec:
             nyq |= mg[ax] == -(n[ax] // 2)
         self.freq_deriv = np.where(nyq[None], 0.0, self.freq)
         self.k2_deriv = np.einsum("d...,d...->...", self.freq_deriv, self.freq_deriv)
-        self._nyquist_mask = nyq
 
     @property
     def cell_volume(self) -> float:
         return self.lattice.cell_volume
 
+    def fractional_coords(self) -> np.ndarray:
+        """Fractional node coordinates t_j, shape (3, n1, n2, n3)."""
+        t = [np.arange(nk) / nk - 0.5 for nk in self.n]
+        return np.stack(np.meshgrid(*t, indexing="ij"))
+
     def coords(self) -> np.ndarray:
         """Cartesian node positions, shape (3, n1, n2, n3)."""
-        t = [np.arange(nk) / nk - 0.5 for nk in self.n]
-        tg = np.stack(np.meshgrid(*t, indexing="ij"))
-        return np.einsum("jd,j...->d...", self.lattice.basis, tg)
+        return np.einsum("jd,j...->d...", self.lattice.basis,
+                         self.fractional_coords())
 
     def compatible(self, other: "GridSpec") -> bool:
         return self.n == other.n and np.allclose(

@@ -51,8 +51,10 @@ from .fields import (
     VectorField,
     ScalarField,
     add,
+    const_matvec_vals,
     curl_vals,
     div_vals,
+    divergence,
     fftn,
     grad_vals,
     ifftn,
@@ -63,17 +65,16 @@ from .fields import (
     sub,
 )
 from .lattice import GridSpec
-from .operators import apply_sym, apply_symbol, sym_symbol_inverse
+from .operators import (apply_sym, apply_symbol, curl_curl_symbol, elliptic_operator,
+                        guarded_div, matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
 from .smoothing import SteklovMultiplier, steklov_apply, steklov_multiplier
-from .solvers import pcg
+from .solvers import NoConvergence, pcg, validate_tol
 
 TORUS_REGIME_NOTE = (
     "periodic torus surrogate: boundary conditions vacuous, divergence-free "
     "classes coincide; expected first-order rate is the full-space O(eps), "
     "not the bounded-domain O(sqrt(eps))"
 )
-
-_EYE3 = np.eye(3)
 
 
 class BranchError(ValueError):
@@ -126,7 +127,7 @@ class MaxwellProblem:
                 continue
             if not f.grid.compatible(self.torus):
                 raise ValueError(f"source {name} not on the torus grid")
-            d = l2_norm(ScalarField(self.torus, div_vals(self.torus, f.values)))
+            d = l2_norm(divergence(f))
             if d > 1e-10 * max(1.0, l2_norm(f)):
                 raise ValueError(f"source {name} is not divergence free: {d:.3e}")
 
@@ -161,11 +162,10 @@ def leray_project_weighted(f: VectorField, s0) -> VectorField:
     s0 = np.asarray(s0, dtype=float)
     k = g.freq_deriv
     fh = fftn(f.values)
-    s0k = np.einsum("ij,j...->i...", s0, k)
+    s0k = const_matvec_vals(s0, k)
     denom = np.einsum("i...,i...->...", k, s0k)
     kf = np.einsum("i...,i...->...", k, fh)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(denom > 0, kf / np.where(denom > 0, denom, 1.0), 0.0)
+    coef = guarded_div(kf, denom)
     return VectorField(g, ifftn(fh - s0k * coef), real=f.real)
 
 
@@ -210,12 +210,7 @@ def symmetrized_rhs(problem: MaxwellProblem, branch: str) -> VectorField:
 def _cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:
     """Mode-wise inverse of [k]x^T B0^{-1} [k]x + A0 (the first-order-form
     preconditioner; invertible at every mode since A0 is SPD)."""
-    from .operators import _cross_matrices
-
-    K = _cross_matrices(grid)
-    Binv = np.linalg.inv(np.asarray(b0, dtype=float))
-    sym = np.swapaxes(K, -1, -2) @ (Binv @ K) + np.asarray(a0, dtype=float)
-    return np.linalg.inv(sym)
+    return np.linalg.inv(curl_curl_symbol(grid, b0) + np.asarray(a0, dtype=float))
 
 
 def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
@@ -236,10 +231,13 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
 
     Returns (phi, diagnostics).  The residual of the full symmetrized
     operator equation is measured and must come out <= tol relative to the
-    source norm; the divergence-constraint leakage is asserted at 10 * tol.
+    source norm, and the divergence-constraint leakage must stay below
+    10 * tol; either check failing raises
+    :class:`~maxhom.solvers.NoConvergence`.  diagnostics["residual"] is the
+    preconditioned residual of the last inner CG, diagnostics["true_residual"]
+    the measured residual of the full operator equation.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    validate_tol(tol)
     A, B, src = _branch_coeffs(problem, branch)
     g = problem.torus
     a_vals = A.matrix.values
@@ -262,14 +260,7 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
         return apply_symbol(g, prec, r)
 
     # scalar repair solve: div(A grad p) = rhs, preconditioned by mean(A)
-    pm = np.einsum("ij,i...,j...->...", a0, g.freq_deriv, g.freq_deriv)
-    inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
-
-    def apply_scalar(p):
-        return -div_vals(g, matvec_vals(a_vals, grad_vals(g, p)))
-
-    def apply_scalar_prec(r):
-        return ifftn(inv_pm * fftn(r))
+    apply_scalar, apply_scalar_prec = elliptic_operator(A)
 
     inner_tol = 0.02 * tol
     iterations = 0
@@ -292,18 +283,19 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
             break
         inner_tol *= 1e-2
     else:
-        raise AssertionError(
-            f"symmetrized residual {rel:.3e} not below tol {tol:.3e}")
+        raise NoConvergence(
+            iterations, rel,
+            f"symmetrized residual check branch={branch} (tol {tol:.3e})")
 
     phi = VectorField(g, phi_vals)
     leak = l2_norm(ScalarField(g, div_vals(g, matvec_vals(a_sqrt, phi_vals))))
     if leak > 10.0 * tol * snorm:
-        raise AssertionError(
-            f"divergence constraint leakage {leak:.3e} exceeds "
-            f"{10.0 * tol * snorm:.3e}")
+        raise NoConvergence(
+            iterations, leak / snorm,
+            f"symmetrized leakage check branch={branch} (limit {10.0 * tol:.3e})")
     diag = {
         "iterations": iterations,
-        "residual": rel,
+        "residual": float(info.residual),
         "true_residual": rel,
         "leakage": leak,
         "leakage_rel": leak / snorm if snorm else 0.0,
@@ -325,27 +317,27 @@ def solve_effective(problem: MaxwellProblem, eta0, mu0, branch: str,
 # ---------------------------------------------------------------------------
 
 
+def _fields_from_phi(g: GridSpec, phi_vals: np.ndarray, branch: str,
+                     a_isqrt, a_sqrt, b_inv, apply) -> dict:
+    """u, v, w, z from phi, with A the main coefficient of the branch and B
+    the other one; `apply(m, x)` applies a matrix coefficient to an array."""
+    x = apply(a_isqrt, phi_vals)
+    y = apply(a_sqrt, phi_vals)
+    c = curl_vals(g, x) if branch == "r" else -curl_vals(g, x)
+    d = apply(b_inv, c)
+    # r: v = A^{-1/2} phi, z = A^{1/2} phi, w = curl v, u = B^{-1} w
+    # q: u = A^{-1/2} phi, w = A^{1/2} phi, z = -curl u, v = B^{-1} z
+    u, v, w, z = (d, x, c, y) if branch == "r" else (x, d, y, c)
+    return {n: VectorField(g, f) for n, f in zip("uvwz", (u, v, w, z))}
+
+
 def reconstruct_fields(phi: VectorField, problem: MaxwellProblem,
                        branch: str) -> dict:
     """Physical fields u, v, w, z from the symmetrized unknown."""
-    _check_branch(branch)
-    g = problem.torus
-    if branch == "r":
-        mu_is = problem.mu_eps.power(-0.5).values
-        mu_s = problem.mu_eps.power(0.5).values
-        v = matvec_vals(mu_is, phi.values)
-        z = matvec_vals(mu_s, phi.values)
-        w = curl_vals(g, v)
-        u = matvec_vals(problem.eta_eps.inv().values, w)
-    else:
-        eta_is = problem.eta_eps.power(-0.5).values
-        eta_s = problem.eta_eps.power(0.5).values
-        u = matvec_vals(eta_is, phi.values)
-        w = matvec_vals(eta_s, phi.values)
-        z = -curl_vals(g, u)
-        v = matvec_vals(problem.mu_eps.inv().values, z)
-    return {n: VectorField(g, x) for n, x in
-            (("u", u), ("v", v), ("w", w), ("z", z))}
+    A, B, _ = _branch_coeffs(problem, branch)
+    return _fields_from_phi(problem.torus, phi.values, branch,
+                            A.power(-0.5).values, A.power(0.5).values,
+                            B.inv().values, matvec_vals)
 
 
 def effective_level_fields(phi_level: VectorField, eta0, mu0,
@@ -353,23 +345,11 @@ def effective_level_fields(phi_level: VectorField, eta0, mu0,
     """u, v, w, z from a phi-level field of a constant-coefficient problem
     (applies to the effective solution and to the correction solution)."""
     _check_branch(branch)
-    g = phi_level.grid
-    eta0 = np.asarray(eta0, dtype=float)
-    mu0 = np.asarray(mu0, dtype=float)
-    from .operators import matrix_inv_sqrt, matrix_sqrt
-
-    if branch == "r":
-        v = np.einsum("ij,j...->i...", matrix_inv_sqrt(mu0), phi_level.values)
-        z = np.einsum("ij,j...->i...", matrix_sqrt(mu0), phi_level.values)
-        w = curl_vals(g, v)
-        u = np.einsum("ij,j...->i...", np.linalg.inv(eta0), w)
-    else:
-        u = np.einsum("ij,j...->i...", matrix_inv_sqrt(eta0), phi_level.values)
-        w = np.einsum("ij,j...->i...", matrix_sqrt(eta0), phi_level.values)
-        z = -curl_vals(g, u)
-        v = np.einsum("ij,j...->i...", np.linalg.inv(mu0), z)
-    return {n: VectorField(g, x) for n, x in
-            (("u", u), ("v", v), ("w", w), ("z", z))}
+    a0, b0 = (mu0, eta0) if branch == "r" else (eta0, mu0)
+    return _fields_from_phi(phi_level.grid, phi_level.values, branch,
+                            matrix_inv_sqrt(a0), matrix_sqrt(a0),
+                            np.linalg.inv(np.asarray(b0, dtype=float)),
+                            const_matvec_vals)
 
 
 def first_order_approx(phi0: VectorField, correction: VectorField,
@@ -474,8 +454,6 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
     diagnostics = {"regime": TORUS_REGIME_NOTE, "eps": problem.eps,
                    "tol": tol, "per_branch": {}}
 
-    from .operators import matrix_inv_sqrt
-
     for b in branches:
         phi_b, diag = solve_symmetrized(problem, b, tol=tol, maxiter=maxiter)
         phi[b] = phi_b
@@ -486,9 +464,9 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
         m0_is = matrix_inv_sqrt(m0)
         # one mode-wise symbol inverse serves both constant-coefficient solves
         inv = sym_symbol_inverse(g, m0, h0, shift=1.0)
-        rhs0 = 1j * np.einsum("ij,j...->i...", m0_is, src.values)
+        rhs0 = 1j * const_matvec_vals(m0_is, src.values)
         phi0[b] = VectorField(g, apply_symbol(g, inv, rhs0))
-        rhs_c = 1j * np.einsum("ij,j...->i...", m0_is, ceps.values)
+        rhs_c = 1j * const_matvec_vals(m0_is, ceps.values)
         corr_phi[b] = VectorField(g, apply_symbol(g, inv, rhs_c))
 
         fb = reconstruct_fields(phi_b, problem, b)

@@ -27,6 +27,12 @@ class NoConvergence(RuntimeError):
         super().__init__(msg)
 
 
+def validate_tol(tol: float) -> None:
+    """Reject a solver tolerance that is not a finite positive number."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 @dataclass
 class SolveInfo:
     iterations: int

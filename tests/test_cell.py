@@ -250,3 +250,11 @@ def test_multiplier_check(cell_eta, grid32):
         for eps in (0.5, 0.25):
             lhs, rhs = mh.multiplier_check(cell_eta.Y, u, eps, bounds)
             assert lhs <= rhs
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf")])
+def test_invalid_tol_rejected(grid16, tol):
+    a = mh.generate_coefficient(
+        mh.CoefficientDescriptor("constant", {"value": 2.0}), grid16)
+    with pytest.raises(ValueError, match="tol"):
+        mh.solve_scalar_cell(a, tol=tol)

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from maxhom.cli import (EXIT_CONFIG, EXIT_OK, RunConfig, main, parse_config)
 from maxhom.harness import CoefficientDescriptor, strip_runtime
@@ -198,3 +199,16 @@ def test_cmd_converge_eps_validation(tmp_path, capsys):
     path = write_config(tmp_path, bad)
     code = main(["converge", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_cmd_maxwell_invalid_tol_exit_code(tmp_path, capsys, tol):
+    path = write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["maxwell", "--config", str(path), "--out", str(out),
+                 "--tol", tol])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "tol" in err
+    assert "Traceback" not in err
+    assert not out.exists()

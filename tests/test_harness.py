@@ -189,3 +189,19 @@ def test_monotone_refinement_of_layered_effective(cubic):
         cell = mh.solve_scalar_cell(a, tol=1e-11)
         errs.append(np.max(np.abs(cell.effective - oracle)))
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_study_failed_solver_check_gives_partial_report(cell_eta, cell_mu):
+    # the symmetrized residual check cannot reach tol = 1e-17: the study
+    # stops at the first eps and reports the failure instead of raising
+    cfg = StudyConfig(
+        basis=np.eye(3).tolist(), grid_n=(32, 32, 32),
+        eta=CoefficientDescriptor("trig_isotropic",
+                                  {"base": 2.0, "amplitude": 1.0, "axis": 0}),
+        mu=CoefficientDescriptor("trig_isotropic",
+                                 {"base": 3.0, "amplitude": 1.2, "axis": 1}),
+        eps_list=[0.5, 0.25, 0.125], tol=1e-17, source_max_mode=4)
+    rep = convergence_study(cfg, cells=(cell_eta, cell_mu))
+    assert rep.partial
+    assert rep.eps_list == []
+    assert "symmetrized" in rep.failure

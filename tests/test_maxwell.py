@@ -527,3 +527,44 @@ def test_effective_level_fields_q_branch_signs(grid16):
     assert np.allclose(f["z"].values, expect_z, atol=1e-12)
     assert np.allclose(f["v"].values, expect_z / 3.0, atol=1e-12)
     assert np.allclose(f["w"].values, np.sqrt(2.0) * phi.values, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# symmetrized solve: typed check failures and diagnostics
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def matrix_problem16(grid16):
+    eta = mh.generate_coefficient(
+        mh.CoefficientDescriptor(
+            "trig_matrix",
+            {"base": [2.0, 2.5, 3.0], "amplitude": 0.45, "modes": [1, 1, 1]},
+            seed=3),
+        grid16)
+    mu = mh.generate_coefficient(
+        mh.CoefficientDescriptor(
+            "trig_matrix",
+            {"base": [1.5, 2.0, 2.5], "amplitude": 0.45, "modes": [1, 1, 1]},
+            seed=4),
+        grid16)
+    q = random_divfree_field(grid16, 4, 21)
+    r = random_divfree_field(grid16, 4, 22)
+    return mh.make_problem(eta, mu, 2, grid16, q=q, r=r)
+
+
+def test_symmetrized_unreachable_tol_raises_no_convergence(matrix_problem16):
+    # rounding keeps the measured residual near 1e-13, far above the tol
+    with pytest.raises(mh.NoConvergence) as exc:
+        mh.solve_symmetrized(matrix_problem16, "r", tol=1e-17)
+    assert "branch=r" in str(exc.value)
+    assert exc.value.iterations > 0
+    assert exc.value.residual > 1e-17
+
+
+def test_symmetrized_diagnostics_residuals(matrix_problem16):
+    tol = 1e-9
+    for branch in ("r", "q"):
+        _, diag = mh.solve_symmetrized(matrix_problem16, branch, tol=tol)
+        assert diag["true_residual"] <= tol
+        assert diag["residual"] <= 0.02 * tol
