@@ -119,14 +119,9 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     apply_op, apply_prec = elliptic_operator(a)
     potentials, grads, infos = [], [], []
     for j in range(3):
-        b = div_vals(grid, av[:, j])
-        if np.max(np.abs(b)) == 0.0:
-            phi = np.zeros(grid.n, dtype=complex)
-            infos.append(SolveInfo(0, 0.0, 0.0))
-        else:
-            phi, info = pcg(apply_op, b, apply_prec, tol, maxiter,
-                            context=f"scalar cell j={j}")
-            infos.append(info)
+        phi, info = pcg(apply_op, div_vals(grid, av[:, j]), apply_prec, tol,
+                        maxiter, context=f"scalar cell j={j}")
+        infos.append(info)
         potentials.append(ScalarField(grid, phi, real=True))
         grads.append(grad_vals(grid, phi))
 
@@ -281,12 +276,26 @@ class CorrectorSet:
         return self.a_cell.grid
 
 
-def _branch_cells(eta_cell: CellSolution, mu_cell: CellSolution, branch: str):
+class BranchError(ValueError):
+    pass
+
+
+def branch_pair(branch: str, electric, magnetic):
+    """(main, other) of a branch from its eta-side and mu-side quantities:
+    the magnetic quantities lead the "r" branch, the electric ones "q"."""
     if branch == "r":
-        return mu_cell, eta_cell
+        return magnetic, electric
     if branch == "q":
-        return eta_cell, mu_cell
-    raise ValueError(f"branch must be 'r' or 'q', got {branch!r}")
+        return electric, magnetic
+    raise BranchError(f"branch must be 'r' or 'q', got {branch!r}")
+
+
+def requested_branches(requested: str) -> tuple[str, ...]:
+    """The branches a request names; "both" is ("q", "r")."""
+    if requested == "both":
+        return ("q", "r")
+    branch_pair(requested, None, None)
+    return (requested,)
 
 
 def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
@@ -316,7 +325,7 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     None.
     """
     validate_tol(tol)
-    a_cell, b_cell = _branch_cells(eta_cell, mu_cell, branch)
+    a_cell, b_cell = branch_pair(branch, eta_cell, mu_cell)
     grid = a_cell.grid
     A = a_cell.coefficient
     B = b_cell.coefficient
@@ -369,7 +378,7 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
             rhs = rhs - rhs.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
             if np.max(np.abs(rhs)) < 1e-14:
                 f_vals = np.zeros((3,) + grid.n, dtype=complex)
-                info = SolveInfo(0, 0.0, 0.0)
+                info = SolveInfo(0, 0.0)
             else:
                 f_vals, info = pcg(apply_op, rhs, apply_prec, tol, maxiter,
                                    context=f"vector cell branch={branch} l={l} j={j}")

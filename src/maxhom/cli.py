@@ -2,8 +2,10 @@
 
 The configuration is an INI file with sections [lattice], [grid], [eta],
 [mu], [solver], [maxwell], [converge], [output]; all quantities are
-dimensionless.  Exit codes: 0 success, 1 solver failure, 2 malformed
-configuration or violated precondition.  All randomness is seeded from the
+dimensionless, and the [solver] settings tol, maxiter and workers apply to
+all three commands.  Exit codes: 0 success, 1 solver failure, 2 malformed
+configuration or violated precondition (including a coefficient eigenvalue
+below the floor).  All randomness is seeded from the
 configuration, so reruns with the same file and worker count reproduce the
 JSON and CSV artifacts byte for byte apart from the recorded runtimes.
 """
@@ -22,17 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from . import fields
-from .cell import cell_identity_slacks, solve_scalar_cell, solve_vector_cell
-from .fields import write_field, harmonic_mean_matrix, arithmetic_mean_matrix
+from .cell import (cell_identity_slacks, requested_branches, solve_scalar_cell,
+                   solve_vector_cell)
+from .fields import (SingularPoint, write_field, harmonic_mean_matrix,
+                     arithmetic_mean_matrix)
 from .harness import (
     CoefficientDescriptor,
     InvalidParams,
     StudyConfig,
     convergence_study,
+    eps_periods,
     generate_coefficient,
-    random_divfree_field,
     report_to_csv,
     report_to_json,
+    run_inputs,
 )
 from .lattice import DegenerateBasis, GridSpec, GridError, make_lattice
 from .maxwell import TORUS_REGIME_NOTE, make_problem, run_maxwell
@@ -55,63 +60,41 @@ _COEF_SECTIONS = ("eta", "mu")
 
 
 @dataclasses.dataclass
-class RunConfig:
-    basis: list
-    grid_n: tuple
-    eta: CoefficientDescriptor
-    mu: CoefficientDescriptor
-    tol: float = 1e-9
-    maxiter: int = 20000
-    workers: int = 1
-    eps: float = 0.25
-    branch: str = "both"
-    source_seed: int = 7
-    source_max_mode: int = 8
-    source_decay: float = 0.5
-    first_order: bool = False
+class RunConfig(StudyConfig):
     eps_list: tuple = (0.5, 0.25, 0.125)
+    eps: float = 0.25
+    first_order: bool = False
     out_dir: str = "out"
 
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
         cp["lattice"] = {"basis": "; ".join(
-            " ".join(f"{v:.17g}" for v in row)
+            _ini_value(row)
             for row in np.asarray(self.basis, dtype=float).reshape(3, 3))}
-        cp["grid"] = {"n": " ".join(str(v) for v in self.grid_n)}
+        cp["grid"] = {"n": _ini_value(self.grid_n)}
         for name in _COEF_SECTIONS:
             d: CoefficientDescriptor = getattr(self, name)
-            sec = {"kind": d.kind, "seed": str(d.seed)}
-            for k, v in d.params.items():
-                if isinstance(v, (list, tuple, np.ndarray)):
-                    sec[k] = " ".join(f"{x:.17g}" if isinstance(x, float) else str(x)
-                                      for x in v)
-                else:
-                    sec[k] = f"{v:.17g}" if isinstance(v, float) else str(v)
-            cp[name] = sec
-        cp["solver"] = {"tol": f"{self.tol:.17g}", "maxiter": str(self.maxiter),
-                        "workers": str(self.workers)}
-        cp["maxwell"] = {
-            "eps": f"{self.eps:.17g}", "branch": self.branch,
-            "source_seed": str(self.source_seed),
-            "source_max_mode": str(self.source_max_mode),
-            "source_decay": f"{self.source_decay:.17g}",
-            "first_order": str(self.first_order).lower(),
-        }
-        cp["converge"] = {"eps_list": " ".join(f"{e:.17g}" for e in self.eps_list)}
-        cp["output"] = {"dir": self.out_dir}
+            cp[name] = {"kind": d.kind, "seed": str(d.seed),
+                        **{k: _ini_value(v) for k, v in d.params.items()}}
+        for attr, section, key, _ in _SETTINGS:
+            cp.read_dict({section: {key: _ini_value(getattr(self, attr))}})
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
 
 
-def _get(cp, section, key, conv, default=None):
+def _ini_value(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return " ".join(_ini_value(x) for x in v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _get(cp, section, key, conv):
     if not cp.has_section(section):
-        if default is not None:
-            return default
         raise ConfigError(f"missing section [{section}]")
     if not cp.has_option(section, key):
-        if default is not None:
-            return default
         raise ConfigError(f"missing key '{key}' in section [{section}]")
     raw = cp.get(section, key)
     try:
@@ -137,16 +120,44 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_branch(raw: str) -> str:
+    requested_branches(raw)
+    return raw
+
+
+# (RunConfig field, INI section, key, parser) of every setting that has a
+# default, in INI order; the defaults are those of the RunConfig fields
+_SETTINGS = (
+    ("tol", "solver", "tol", float),
+    ("maxiter", "solver", "maxiter", int),
+    ("workers", "solver", "workers", int),
+    ("eps", "maxwell", "eps", float),
+    ("branch", "maxwell", "branch", _parse_branch),
+    ("source_seed", "maxwell", "source_seed", int),
+    ("source_max_mode", "maxwell", "source_max_mode", int),
+    ("source_decay", "maxwell", "source_decay", float),
+    ("first_order", "maxwell", "first_order", _parse_bool),
+    ("eps_list", "converge", "eps_list", lambda raw: tuple(_parse_floats(raw))),
+    ("out_dir", "output", "dir", str),
+)
+
+
+def _parse_base(raw: str):
+    vals = _parse_floats(raw)
+    return vals[0] if len(vals) == 1 else vals
+
+
 _COEF_PARAM_TYPES = {
     "value": float, "alpha": float, "beta": float, "fill": float,
-    "width": float, "axis": int, "base": "floats", "amplitude": float,
-    "mode": int, "modes": "ints", "axes": "ints",
+    "width": float, "axis": int, "base": _parse_base, "amplitude": float,
+    "mode": int, "modes": _parse_ints, "axes": _parse_ints,
 }
 
 
 def _parse_descriptor(cp, section) -> CoefficientDescriptor:
     kind = _get(cp, section, "kind", str)
-    seed = _get(cp, section, "seed", int, default=0)
+    seed = ({"seed": _get(cp, section, "seed", int)}
+            if cp.has_option(section, "seed") else {})
     params = {}
     for key in cp[section]:
         if key in ("kind", "seed"):
@@ -154,16 +165,8 @@ def _parse_descriptor(cp, section) -> CoefficientDescriptor:
         typ = _COEF_PARAM_TYPES.get(key)
         if typ is None:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        if typ == "floats":
-            val = _get(cp, section, key, _parse_floats)
-            if len(val) == 1:
-                val = val[0]
-        elif typ == "ints":
-            val = _get(cp, section, key, _parse_ints)
-        else:
-            val = _get(cp, section, key, typ)
-        params[key] = val
-    return CoefficientDescriptor(kind=kind, params=params, seed=seed)
+        params[key] = _get(cp, section, key, typ)
+    return CoefficientDescriptor(kind=kind, params=params, **seed)
 
 
 def parse_config(path) -> RunConfig:
@@ -181,29 +184,11 @@ def parse_config(path) -> RunConfig:
     grid_n = tuple(_get(cp, "grid", "n", _parse_ints))
     if len(grid_n) != 3:
         raise ConfigError("[grid] n needs three integers")
-    eta = _parse_descriptor(cp, "eta")
-    mu = _parse_descriptor(cp, "mu")
-    branch = _get(cp, "maxwell", "branch", str, default="both")
-    if branch not in ("r", "q", "both"):
-        raise ConfigError(f"bad value for [maxwell] branch: {branch!r}")
-    return RunConfig(
-        basis=basis,
-        grid_n=grid_n,
-        eta=eta,
-        mu=mu,
-        tol=_get(cp, "solver", "tol", float, default=1e-9),
-        maxiter=_get(cp, "solver", "maxiter", int, default=20000),
-        workers=_get(cp, "solver", "workers", int, default=1),
-        eps=_get(cp, "maxwell", "eps", float, default=0.25),
-        branch=branch,
-        source_seed=_get(cp, "maxwell", "source_seed", int, default=7),
-        source_max_mode=_get(cp, "maxwell", "source_max_mode", int, default=8),
-        source_decay=_get(cp, "maxwell", "source_decay", float, default=0.5),
-        first_order=_get(cp, "maxwell", "first_order", _parse_bool, default=False),
-        eps_list=tuple(_get(cp, "converge", "eps_list", _parse_floats,
-                            default=[0.5, 0.25, 0.125])),
-        out_dir=_get(cp, "output", "dir", str, default="out"),
-    )
+    settings = {attr: _get(cp, section, key, conv)
+                for attr, section, key, conv in _SETTINGS
+                if cp.has_option(section, key)}
+    return RunConfig(basis=basis, grid_n=grid_n, eta=_parse_descriptor(cp, "eta"),
+                     mu=_parse_descriptor(cp, "mu"), **settings)
 
 
 def _json_dump(path: Path, payload: dict) -> None:
@@ -225,16 +210,13 @@ def _json_default(obj):
 
 
 def _setup(cfg: RunConfig, out_override, workers, tol):
-    if workers is not None:
-        cfg.workers = workers
-    if tol is not None:
-        cfg.tol = tol
+    for attr, flag in (("workers", workers), ("tol", tol), ("out_dir", out_override)):
+        if flag is not None:
+            setattr(cfg, attr, flag)
     try:
         validate_tol(cfg.tol)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
-    if out_override is not None:
-        cfg.out_dir = out_override
     fields.set_fft_workers(cfg.workers)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,40 +270,20 @@ def cmd_cell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
     return EXIT_OK
 
 
-def _maxwell_precondition(cfg: RunConfig, grid) -> int:
-    n = int(round(1.0 / cfg.eps))
-    if abs(n * cfg.eps - 1.0) > 1e-12 or n < 1:
-        raise ConfigError(f"[maxwell] eps must be 1/n for integer n, got {cfg.eps}")
-    if any(nk % n for nk in grid.n):
-        raise ConfigError(
-            f"[maxwell] eps = 1/{n} does not divide grid n = {grid.n}")
-    return n
-
-
 def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
     t0 = time.perf_counter()
     out, lattice, grid = _setup(cfg, out_override, workers, tol)
-    n = _maxwell_precondition(cfg, grid)
-    eta = generate_coefficient(cfg.eta, grid)
-    mu = generate_coefficient(cfg.mu, grid)
-    cell_eta = solve_scalar_cell(eta, tol=cfg.tol, maxiter=cfg.maxiter)
-    cell_mu = solve_scalar_cell(mu, tol=cfg.tol, maxiter=cfg.maxiter)
-    q = r = None
-    if cfg.branch in ("q", "both"):
-        q = random_divfree_field(grid, cfg.source_max_mode, cfg.source_seed,
-                                 cfg.source_decay)
-    if cfg.branch in ("r", "both"):
-        r = random_divfree_field(grid, cfg.source_max_mode, cfg.source_seed + 1,
-                                 cfg.source_decay)
-    problem = make_problem(eta, mu, n, grid, q=q, r=r)
+    n = eps_periods(cfg.eps, grid.n)
+    inputs = run_inputs(cfg, grid)
+    problem = make_problem(inputs.eta, inputs.mu, n, grid, **inputs.sources)
     correctors = None
     if cfg.first_order:
         correctors = {
-            b: solve_vector_cell(cell_eta, cell_mu, b, tol=cfg.tol,
+            b: solve_vector_cell(inputs.cell_eta, inputs.cell_mu, b, tol=cfg.tol,
                                  maxiter=cfg.maxiter)
             for b in problem.branches(cfg.branch)
         }
-    sol = run_maxwell(problem, cell_eta, cell_mu, branch=cfg.branch,
+    sol = run_maxwell(problem, inputs.cell_eta, inputs.cell_mu, branch=cfg.branch,
                       tol=cfg.tol, maxiter=cfg.maxiter, correctors=correctors)
 
     payload = {
@@ -333,8 +295,8 @@ def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> in
         "eta": cfg.eta.as_dict(),
         "mu": cfg.mu.as_dict(),
         "source_seed": cfg.source_seed,
-        "effective": {"eta0": cell_eta.effective.tolist(),
-                      "mu0": cell_mu.effective.tolist()},
+        "effective": {"eta0": inputs.cell_eta.effective.tolist(),
+                      "mu0": inputs.cell_mu.effective.tolist()},
         "errors": sol.errors,
         "rel_errors": sol.rel_errors,
         "correction_means": sol.correction_means(),
@@ -354,16 +316,7 @@ def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> in
 
 def cmd_converge(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
     out, lattice, grid = _setup(cfg, out_override, workers, tol)
-    study = StudyConfig(
-        basis=cfg.basis, grid_n=cfg.grid_n, eta=cfg.eta, mu=cfg.mu,
-        eps_list=list(cfg.eps_list), tol=cfg.tol, branch=cfg.branch,
-        source_seed=cfg.source_seed, source_max_mode=cfg.source_max_mode,
-        source_decay=cfg.source_decay, workers=cfg.workers,
-    )
-    try:
-        report = convergence_study(study)
-    except InvalidParams as exc:
-        raise ConfigError(str(exc))
+    report = convergence_study(cfg)
     (out / "converge.json").write_text(report_to_json(report))
     (out / "converge.csv").write_text(report_to_csv(report))
     return EXIT_SOLVER if report.partial else EXIT_OK
@@ -389,7 +342,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         cmd = {"cell": cmd_cell, "maxwell": cmd_maxwell, "converge": cmd_converge}
         return cmd[args.command](cfg, args.out, args.workers, args.tol)
-    except (ConfigError, InvalidParams, DegenerateBasis, GridError) as exc:
+    except (ConfigError, InvalidParams, DegenerateBasis, GridError,
+            SingularPoint) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 from scipy import integrate
 
-from .cell import CellSolution, solve_scalar_cell
+from .cell import CellSolution, requested_branches, solve_scalar_cell
 from .fields import (
     CoefficientField,
     MatrixField,
@@ -254,6 +254,8 @@ def random_divfree_field(grid: GridSpec, max_mode: int, seed: int,
 
 @dataclass
 class StudyConfig:
+    """The settings every run shares; each default is declared here only."""
+
     basis: list
     grid_n: tuple
     eta: CoefficientDescriptor
@@ -265,9 +267,11 @@ class StudyConfig:
     source_max_mode: int = 8
     source_decay: float = 0.5
     workers: int = 1
+    maxiter: int = 20000
 
     def as_dict(self) -> dict:
-        d = asdict(self)
+        """The study fields (also of a subclass instance), JSON-ready."""
+        d = {f.name: getattr(self, f.name) for f in dc_fields(StudyConfig)}
         d["eta"] = self.eta.as_dict()
         d["mu"] = self.mu.as_dict()
         d["basis"] = np.asarray(self.basis, dtype=float).reshape(3, 3).tolist()
@@ -312,6 +316,19 @@ def loglog_fit(eps_list, errors) -> tuple[float, float]:
     return float(slope), float(r2)
 
 
+def eps_periods(eps: float, grid_n) -> int:
+    """The period count n of eps = 1/n; n must divide the grid per axis."""
+    try:
+        n = int(round(1.0 / eps))
+    except (ZeroDivisionError, OverflowError, ValueError):  # eps 0, tiny, nan
+        n = 0
+    if n < 1 or abs(n * eps - 1.0) > 1e-12:
+        raise InvalidParams(f"eps {eps} is not of the form 1/n")
+    if any(nk % n for nk in grid_n):
+        raise InvalidParams(f"1/eps = {n} does not divide grid {tuple(grid_n)}")
+    return n
+
+
 def _validate_eps_list(eps_list, grid_n) -> list[int]:
     if len(eps_list) < 3:
         raise InvalidParams("need at least 3 eps values for a rate fit")
@@ -321,13 +338,38 @@ def _validate_eps_list(eps_list, grid_n) -> list[int]:
         if not eps < prev:
             raise InvalidParams("eps_list must be strictly decreasing")
         prev = eps
-        n = int(round(1.0 / eps))
-        if abs(n * eps - 1.0) > 1e-12:
-            raise InvalidParams(f"eps {eps} is not of the form 1/n")
-        if any(nk % n for nk in grid_n):
-            raise InvalidParams(f"1/eps = {n} does not divide grid {grid_n}")
-        ns.append(n)
+        ns.append(eps_periods(eps, grid_n))
     return ns
+
+
+@dataclass
+class RunInputs:
+    eta: CoefficientField
+    mu: CoefficientField
+    cell_eta: CellSolution
+    cell_mu: CellSolution
+    sources: dict  # branch -> source, the make_problem keywords q / r
+    cell_s: float  # time spent on the coefficients and the cell solves
+
+
+def run_inputs(config: StudyConfig, grid: GridSpec,
+               cells: tuple[CellSolution, CellSolution] | None = None
+               ) -> RunInputs:
+    """Build a run's inputs; the cell solves are skipped when `cells` is
+    passed.  Source q is seeded with `source_seed` and r with the next
+    integer, each only when its branch is requested."""
+    t0 = time.perf_counter()
+    eta = generate_coefficient(config.eta, grid)
+    mu = generate_coefficient(config.mu, grid)
+    if cells is None:
+        cells = [solve_scalar_cell(a, tol=config.tol, maxiter=config.maxiter)
+                 for a in (eta, mu)]
+    cell_s = time.perf_counter() - t0
+    seeds = {"q": config.source_seed, "r": config.source_seed + 1}
+    sources = {b: random_divfree_field(grid, config.source_max_mode, seeds[b],
+                                       config.source_decay)
+               for b in requested_branches(config.branch)}
+    return RunInputs(eta, mu, *cells, sources, cell_s)
 
 
 def convergence_study(config: StudyConfig,
@@ -343,24 +385,9 @@ def convergence_study(config: StudyConfig,
     ns = _validate_eps_list(config.eps_list, config.grid_n)
     lattice = make_lattice(config.basis)
     grid = GridSpec(config.grid_n, lattice)
-    runtime = {}
     t0 = time.perf_counter()
-    eta = generate_coefficient(config.eta, grid)
-    mu = generate_coefficient(config.mu, grid)
-    if cells is None:
-        cell_eta = solve_scalar_cell(eta, tol=config.tol)
-        cell_mu = solve_scalar_cell(mu, tol=config.tol)
-    else:
-        cell_eta, cell_mu = cells
-    runtime["cell_s"] = time.perf_counter() - t0
-
-    q = r = None
-    if config.branch in ("q", "both"):
-        q = random_divfree_field(grid, config.source_max_mode,
-                                 config.source_seed, config.source_decay)
-    if config.branch in ("r", "both"):
-        r = random_divfree_field(grid, config.source_max_mode,
-                                 config.source_seed + 1, config.source_decay)
+    inputs = run_inputs(config, grid, cells)
+    runtime = {"cell_s": inputs.cell_s}
 
     g_test = random_band_vector(grid, 2, config.source_seed + 1000, 0.7,
                                 zero_mean=False)
@@ -377,9 +404,11 @@ def convergence_study(config: StudyConfig,
     for eps, n in zip(config.eps_list, ns):
         t1 = time.perf_counter()
         try:
-            problem = make_problem(eta, mu, n, grid, q=q, r=r)
-            sol = run_maxwell(problem, cell_eta, cell_mu, branch=config.branch,
-                              tol=config.tol)
+            problem = make_problem(inputs.eta, inputs.mu, n, grid,
+                                   **inputs.sources)
+            sol = run_maxwell(problem, inputs.cell_eta, inputs.cell_mu,
+                              branch=config.branch, tol=config.tol,
+                              maxiter=config.maxiter)
         except NoConvergence as exc:
             partial = True
             failure = str(exc)
@@ -421,8 +450,8 @@ def convergence_study(config: StudyConfig,
         flags=flags,
         correction_means=corr_means,
         correction_weak=corr_weak,
-        effective={"eta0": cell_eta.effective.tolist(),
-                   "mu0": cell_mu.effective.tolist()},
+        effective={"eta0": inputs.cell_eta.effective.tolist(),
+                   "mu0": inputs.cell_mu.effective.tolist()},
         runtime=runtime,
         partial=partial,
         failure=failure,

@@ -44,7 +44,8 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, field as dc_field
 
-from .cell import CellSolution, CorrectorSet
+from .cell import (BranchError, CellSolution, CorrectorSet, branch_pair,
+                   requested_branches)
 from .fields import (
     CoefficientField,
     MatrixField,
@@ -75,15 +76,6 @@ TORUS_REGIME_NOTE = (
     "classes coincide; expected first-order rate is the full-space O(eps), "
     "not the bounded-domain O(sqrt(eps))"
 )
-
-
-class BranchError(ValueError):
-    pass
-
-
-def _check_branch(branch: str):
-    if branch not in ("r", "q"):
-        raise BranchError(f"branch must be 'r' or 'q', got {branch!r}")
 
 
 @dataclass
@@ -132,13 +124,8 @@ class MaxwellProblem:
                 raise ValueError(f"source {name} is not divergence free: {d:.3e}")
 
     def branches(self, requested: str = "both") -> list[str]:
-        want = ("q", "r") if requested == "both" else (requested,)
-        out = []
-        for b in want:
-            _check_branch(b)
-            if (self.r if b == "r" else self.q) is not None:
-                out.append(b)
-        return out
+        return [b for b in requested_branches(requested)
+                if branch_pair(b, self.q, self.r)[0] is not None]
 
 
 def make_problem(eta: CoefficientField, mu: CoefficientField, n_periods: int,
@@ -194,10 +181,8 @@ def correction_rhs(problem: MaxwellProblem, Y_eta: MatrixField,
 
 
 def _branch_coeffs(problem: MaxwellProblem, branch: str):
-    _check_branch(branch)
-    if branch == "r":
-        return problem.mu_eps, problem.eta_eps, problem.r
-    return problem.eta_eps, problem.mu_eps, problem.q
+    A, B = branch_pair(branch, problem.eta_eps, problem.mu_eps)
+    return A, B, branch_pair(branch, problem.q, problem.r)[0]
 
 
 def symmetrized_rhs(problem: MaxwellProblem, branch: str) -> VectorField:
@@ -306,8 +291,7 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
 def solve_effective(problem: MaxwellProblem, eta0, mu0, branch: str,
                     rhs: VectorField) -> VectorField:
     """Exact mode-wise solve of the constant-coefficient symmetrized problem."""
-    _check_branch(branch)
-    m0, h0 = (mu0, eta0) if branch == "r" else (eta0, mu0)
+    m0, h0 = branch_pair(branch, eta0, mu0)
     inv = sym_symbol_inverse(problem.torus, m0, h0, shift=1.0)
     return VectorField(problem.torus, apply_symbol(problem.torus, inv, rhs.values))
 
@@ -344,8 +328,7 @@ def effective_level_fields(phi_level: VectorField, eta0, mu0,
                            branch: str) -> dict:
     """u, v, w, z from a phi-level field of a constant-coefficient problem
     (applies to the effective solution and to the correction solution)."""
-    _check_branch(branch)
-    a0, b0 = (mu0, eta0) if branch == "r" else (eta0, mu0)
+    a0, b0 = branch_pair(branch, eta0, mu0)
     return _fields_from_phi(phi_level.grid, phi_level.values, branch,
                             matrix_inv_sqrt(a0), matrix_sqrt(a0),
                             np.linalg.inv(np.asarray(b0, dtype=float)),
@@ -362,7 +345,7 @@ def first_order_approx(phi0: VectorField, correction: VectorField,
     (phi0 + corr) with D_l = -i d_l; the eps-rescaled corrector fields are
     exact nodal resamplings.
     """
-    _check_branch(branch)
+    branch_pair(branch, None, None)  # rejects an unknown branch
     g = phi0.grid
     n = int(round(1.0 / eps))
     base = add(phi0, correction)
@@ -457,10 +440,9 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
     for b in branches:
         phi_b, diag = solve_symmetrized(problem, b, tol=tol, maxiter=maxiter)
         phi[b] = phi_b
-        m0, h0 = (mu0, eta0) if b == "r" else (eta0, mu0)
-        src = problem.r if b == "r" else problem.q
-        ceps = r_eps if b == "r" else q_eps
-        rhs_eps[b] = ceps
+        m0, h0 = branch_pair(b, eta0, mu0)
+        src = branch_pair(b, problem.q, problem.r)[0]
+        ceps = rhs_eps[b] = branch_pair(b, q_eps, r_eps)[0]
         m0_is = matrix_inv_sqrt(m0)
         # one mode-wise symbol inverse serves both constant-coefficient solves
         inv = sym_symbol_inverse(g, m0, h0, shift=1.0)
@@ -478,13 +460,12 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
             corr_totals[n] = add(corr_totals[n], fc[n])
 
         # correction source norm contract: ||c_eps|| <= ||a|| ||a^-1|| ||src||
-        a = problem.eta if b == "q" else problem.mu
-        sup, sup_inv = a.sup_norms()
+        sup, sup_inv = branch_pair(b, problem.eta, problem.mu)[0].sup_norms()
         diag["rhs_eps_norm"] = l2_norm(ceps)
         diag["rhs_eps_bound"] = sup * sup_inv * l2_norm(src)
         if correctors is not None and b in correctors:
-            cell_b = cell_mu if b == "r" else cell_eta
-            psi[b] = first_order_approx(phi0[b], corr_phi[b], cell_b,
+            psi[b] = first_order_approx(phi0[b], corr_phi[b],
+                                        branch_pair(b, cell_eta, cell_mu)[0],
                                         correctors[b], mult, problem.eps, b)
             diag["psi_error"] = l2_norm(sub(phi_b, psi[b]))
             diag["psi_rel_error"] = diag["psi_error"] / max(l2_norm(phi_b), 1e-300)

@@ -36,8 +36,7 @@ def validate_tol(tol: float) -> None:
 @dataclass
 class SolveInfo:
     iterations: int
-    residual: float       # preconditioned relative residual at exit
-    true_residual: float  # plain relative residual ||b - Ax|| / ||b||
+    residual: float  # preconditioned relative residual at exit
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,7 +54,7 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
     """
     bnorm2 = _dot(b, b)
     if bnorm2 == 0.0:
-        return np.zeros_like(b), SolveInfo(0, 0.0, 0.0)
+        return np.zeros_like(b), SolveInfo(0, 0.0)
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -78,9 +77,7 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
         it += 1
         rel = np.sqrt(max(rz_new, 0.0) / rz0)
         if rel <= tol:
-            res = b - apply_op(x)
-            true_rel = np.sqrt(_dot(res, res) / bnorm2)
-            return x, SolveInfo(it, rel, true_rel)
+            return x, SolveInfo(it, rel)
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new

@@ -212,3 +212,73 @@ def test_cmd_maxwell_invalid_tol_exit_code(tmp_path, capsys, tol):
     assert "tol" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_singular_coefficient_exit_code(tmp_path, capsys):
+    # eigenvalue 1e-10 at the trough: below the coefficient eigenvalue floor
+    singular = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "kind = constant\nvalue = 2.0",
+        "kind = trig_isotropic\nbase = 1.0\namplitude = 0.9999999999\naxis = 0")
+    path = write_config(tmp_path, singular)
+    code = main(["cell", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "below floor" in err
+    assert "Traceback" not in err
+
+
+TRIG_CONFIG = BASE_CONFIG.replace(
+    "kind = constant\nvalue = 2.0",
+    "kind = trig_isotropic\nbase = 2.0\namplitude = 1.0\naxis = 0")
+
+
+@pytest.mark.parametrize("command", ["maxwell", "converge"])
+def test_every_command_honours_maxiter(tmp_path, capsys, command):
+    path = write_config(tmp_path, TRIG_CONFIG.replace("maxiter = 20000",
+                                                      "maxiter = 2"))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "scalar cell" in capsys.readouterr().err
+
+
+def test_settings_default_from_the_dataclass(tmp_path):
+    minimal = BASE_CONFIG[:BASE_CONFIG.index("[solver]")]
+    cfg = parse_config(write_config(tmp_path, minimal))
+    assert cfg == RunConfig(
+        basis=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        grid_n=(16, 16, 16),
+        eta=CoefficientDescriptor("constant", {"value": 2.0}),
+        mu=CoefficientDescriptor("constant", {"value": 3.0}))
+
+
+def test_converge_reports_the_study_settings(tmp_path):
+    from dataclasses import fields
+    from maxhom.harness import StudyConfig
+    path = write_config(tmp_path)
+    out = tmp_path / "c"
+    assert main(["converge", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    config = json.loads((out / "converge.json").read_text())["config"]
+    assert set(config) == {f.name for f in fields(StudyConfig)}
+    assert config["maxiter"] == 20000
+
+
+@pytest.mark.parametrize("command,old,new", [
+    ("maxwell", "eps = 0.25", "eps = 0"),
+    ("maxwell", "eps = 0.25", "eps = -0.5"),
+    ("converge", "eps_list = 0.5 0.25 0.125", "eps_list = 0.5 0.25 0"),
+])
+def test_zero_or_negative_eps_exit_code(tmp_path, capsys, command, old, new):
+    path = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "eps" in err
+    assert "Traceback" not in err
+
+
+def test_bad_branch_named(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG.replace("branch = both",
+                                                      "branch = x"))
+    code = main(["maxwell", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "[maxwell] branch" in capsys.readouterr().err

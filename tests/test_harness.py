@@ -205,3 +205,18 @@ def test_study_failed_solver_check_gives_partial_report(cell_eta, cell_mu):
     assert rep.partial
     assert rep.eps_list == []
     assert "symmetrized" in rep.failure
+
+
+@pytest.mark.parametrize("branch,seeds", [("both", {"q": 5, "r": 6}),
+                                          ("r", {"r": 6}), ("q", {"q": 5})])
+def test_run_inputs_source_seeds(grid16, branch, seeds):
+    from maxhom.harness import run_inputs
+    cfg = _tiny_config()
+    cfg.branch = branch
+    cells = (object(), object())  # passed through, no cell solve
+    inputs = run_inputs(cfg, grid16, cells=cells)
+    assert (inputs.cell_eta, inputs.cell_mu) == cells
+    assert set(inputs.sources) == set(seeds)
+    for b, seed in seeds.items():
+        expect = random_divfree_field(grid16, 4, seed)
+        assert np.array_equal(inputs.sources[b].values, expect.values)

@@ -568,3 +568,29 @@ def test_symmetrized_diagnostics_residuals(matrix_problem16):
         _, diag = mh.solve_symmetrized(matrix_problem16, branch, tol=tol)
         assert diag["true_residual"] <= tol
         assert diag["residual"] <= 0.02 * tol
+
+
+def test_unknown_branch_raises_branch_error_everywhere(matrix_problem16, cell_eta,
+                                                       cell_mu):
+    from maxhom.maxwell import BranchError
+    zero = F.VectorField(matrix_problem16.torus,
+                         np.zeros((3,) + matrix_problem16.torus.n, dtype=complex))
+    calls = [
+        lambda: mh.solve_vector_cell(cell_eta, cell_mu, "x"),
+        lambda: mh.solve_symmetrized(matrix_problem16, "x"),
+        lambda: mh.solve_effective(matrix_problem16, np.eye(3), np.eye(3), "x",
+                                   zero),
+        lambda: effective_level_fields(zero, np.eye(3), np.eye(3), "x"),
+        lambda: matrix_problem16.branches("x"),
+    ]
+    for call in calls:
+        with pytest.raises(BranchError):
+            call()
+
+
+def test_branch_pair_convention():
+    from maxhom.cell import branch_pair, requested_branches
+    assert branch_pair("r", "eta", "mu") == ("mu", "eta")
+    assert branch_pair("q", "eta", "mu") == ("eta", "mu")
+    assert requested_branches("both") == ("q", "r")
+    assert requested_branches("r") == ("r",)
