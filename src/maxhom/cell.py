@@ -14,20 +14,24 @@ Fourier space) as preconditioner.  Derived objects:
                ( = a^{-1/2} tilde effective^{-1/2} )
 
 Vector cell problems, one per index pair (l, j): with A the main coefficient
-of a branch, B the other one, and c_j = (A^0)^{-1/2} e_j, the zero-mean
-periodic field f_lj solves
+of a branch, B the other one, c_j = (A^0)^{-1/2} e_j and the sources
 
-    A^{-1/2} curl B^{-1} ( curl A^{-1/2} f_lj + i e_l x ((Y_A + 1) c_j) )
-    - A^{1/2} grad ( div A^{1/2} f_lj + i <e_l, tilde_A c_j> ) = 0.
+    s1 = i e_l x ((Y_A + 1) c_j),     s2 = i <e_l, tilde_A c_j>,
+
+the zero-mean periodic field f_lj solves
+
+    A^{-1/2} curl B^{-1} ( curl A^{-1/2} f_lj + s1 )
+    - A^{1/2} grad ( div A^{1/2} f_lj + s2 ) = 0.
 
 The branch tag selects (A, B) = (mu, eta) for the magnetic source branch
 ("r") and (eta, mu) for the electric one ("q").  Uniqueness is fixed by
-projecting out the mean every iteration.  Converged solutions obey two
-first-order identities that involve only scalar cell data:
+projecting out the mean every iteration.  The nine f_lj are stored once, in
+one (3, 3, 3, n1, n2, n3) array: Lambda_l is its slice l and f_lj is column
+j of Lambda_l.  Converged solutions obey two first-order identities that
+involve only scalar cell data and the same sources:
 
-    div A^{1/2} f_lj  = i <e_l, (A^0)^{1/2} e_j> - i <e_l, tilde_A c_j>
-    B^{-1} curl A^{-1/2} f_lj
-        = i (1 + Y_B) (B^0)^{-1} (e_l x c_j) + i B^{-1} (((Y_A + 1) c_j) x e_l)
+    div A^{1/2} f_lj           = i <e_l, (A^0)^{1/2} e_j> - s2
+    B^{-1} curl A^{-1/2} f_lj  = i (1 + Y_B) (B^0)^{-1} (e_l x c_j) - B^{-1} s1
 
 and both defects are recorded (they double as an independent reconstruction
 route for f_lj, see tests).
@@ -69,7 +73,7 @@ from .fields import (
 from .lattice import GridSpec
 from .operators import (apply_sym, apply_symbol, elliptic_operator, guarded_div,
                         matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
-from .solvers import SolveInfo, pcg, validate_tol
+from .solvers import pcg, validate_tol
 
 _EYE3 = np.eye(3)
 
@@ -98,12 +102,6 @@ class CellSolution:
     @property
     def grid(self) -> GridSpec:
         return self.coefficient.grid
-
-    def effective_sqrt(self) -> np.ndarray:
-        return matrix_sqrt(self.effective)
-
-    def effective_inv_sqrt(self) -> np.ndarray:
-        return matrix_inv_sqrt(self.effective)
 
 
 def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
@@ -304,7 +302,7 @@ def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
     s1 = i e_l x ((Y_A + 1) c_j)  (vector),
     s2 = i <e_l, tilde_A c_j>     (scalar),   c_j = (A^0)^{-1/2} e_j.
     """
-    c = a_cell.effective_inv_sqrt()[:, j]
+    c = matrix_inv_sqrt(a_cell.effective)[:, j]
     yc = matvec_vals(a_cell.Y.values, np.broadcast_to(
         c.reshape(3, 1, 1, 1), (3,) + a_cell.grid.n).astype(complex)) + c.reshape(3, 1, 1, 1)
     s1 = 1j * _cross_const_left(l, yc)
@@ -335,75 +333,54 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
         return np.max(np.abs(c.matrix.values - m)) <= 1e-14 * max(
             1.0, np.max(np.abs(m)))
 
-    if (_is_constant(A) and _is_constant(B)
-            and np.max(np.abs(a_cell.Y.values)) == 0.0):
-        # the problem sources are constants, every f_lj vanishes
-        zero_f = [[VectorField(grid, np.zeros((3,) + grid.n, dtype=complex))
-                   for _ in range(3)] for _ in range(3)]
-        zero_m = [MatrixField(grid, np.zeros((3, 3) + grid.n, dtype=complex))
-                  for _ in range(3)]
-        U, M = build_antisym_potentials(a_cell)
-        zeros33 = np.zeros((3, 3))
-        return CorrectorSet(
-            branch=branch, f=zero_f, Lambda=zero_m, U=U, M=M,
-            lambda_norms=np.zeros(3), residuals=zeros33,
-            iterations=np.zeros((3, 3), dtype=int),
-            div_slack=zeros33 if check_identities else None,
-            rot_slack=zeros33 if check_identities else None,
-            a_cell=a_cell, b_cell=b_cell)
-
-    a_sqrt = A.power(0.5).values
-    a_isqrt = A.power(-0.5).values
-    b_inv = B.inv().values
-    prec_inv = sym_symbol_inverse(grid, mean(A.matrix).real, mean(B.matrix).real,
-                                  shift=0.0)
-
-    def apply_op(f):
-        out = apply_sym(grid, a_sqrt, a_isqrt, b_inv, f, shift=0.0)
-        return out - out.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
-
-    def apply_prec(r):
-        return apply_symbol(grid, prec_inv, r)
-
-    f_fields = [[None] * 3 for _ in range(3)]
+    lam = np.zeros((3, 3, 3) + grid.n, dtype=complex)  # lam[l, :, j] is f_lj
     residuals = np.zeros((3, 3))
     iterations = np.zeros((3, 3), dtype=int)
-    for l in range(3):
-        for j in range(3):
-            s1, s2 = vector_cell_sources(a_cell, l, j)
-            rhs = (
-                -matvec_vals(a_isqrt, curl_vals(grid, matvec_vals(b_inv, s1)))
-                + matvec_vals(a_sqrt, grad_vals(grid, s2))
-            )
-            rhs = rhs - rhs.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
-            if np.max(np.abs(rhs)) < 1e-14:
-                f_vals = np.zeros((3,) + grid.n, dtype=complex)
-                info = SolveInfo(0, 0.0)
-            else:
-                f_vals, info = pcg(apply_op, rhs, apply_prec, tol, maxiter,
-                                   context=f"vector cell branch={branch} l={l} j={j}")
-            f_fields[l][j] = VectorField(grid, f_vals)
-            residuals[l, j] = info.residual
-            iterations[l, j] = info.iterations
+    # with constant coefficients and Y_A = 0 the problem sources are
+    # constants, every f_lj vanishes and no solve runs
+    if not (_is_constant(A) and _is_constant(B)
+            and np.max(np.abs(a_cell.Y.values)) == 0.0):
+        a_sqrt = A.power(0.5).values
+        a_isqrt = A.power(-0.5).values
+        b_inv = B.inv().values
+        prec_inv = sym_symbol_inverse(grid, mean(A.matrix).real,
+                                      mean(B.matrix).real, shift=0.0)
 
-    Lam = []
-    vol = grid.cell_volume
-    lam_norms = np.zeros(3)
-    for l in range(3):
-        lv = np.stack([f_fields[l][j].values for j in range(3)], axis=1)
-        m = MatrixField(grid, lv)
-        Lam.append(m)
-        lam_norms[l] = l2_norm(m) / np.sqrt(vol)
+        def apply_op(f):
+            out = apply_sym(grid, a_sqrt, a_isqrt, b_inv, f, shift=0.0)
+            return out - out.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
+
+        def apply_prec(r):
+            return apply_symbol(grid, prec_inv, r)
+
+        for l in range(3):
+            for j in range(3):
+                s1, s2 = vector_cell_sources(a_cell, l, j)
+                rhs = (
+                    -matvec_vals(a_isqrt, curl_vals(grid, matvec_vals(b_inv, s1)))
+                    + matvec_vals(a_sqrt, grad_vals(grid, s2))
+                )
+                rhs = rhs - rhs.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
+                if np.max(np.abs(rhs)) < 1e-14:
+                    continue
+                lam[l, :, j], info = pcg(
+                    apply_op, rhs, apply_prec, tol, maxiter,
+                    context=f"vector cell branch={branch} l={l} j={j}")
+                residuals[l, j] = info.residual
+                iterations[l, j] = info.iterations
+
+    f = [[VectorField(grid, lam[l, :, j]) for j in range(3)] for l in range(3)]
+    Lam = [MatrixField(grid, lam[l]) for l in range(3)]
+    lam_norms = np.array([l2_norm(m) for m in Lam]) / np.sqrt(grid.cell_volume)
 
     U, M = build_antisym_potentials(a_cell)
     if check_identities:
-        div_slack, rot_slack = _corrector_identity_slacks(
-            a_cell, b_cell, f_fields, dealias=True)
+        div_slack, rot_slack = _corrector_identity_slacks(a_cell, b_cell, f)
     else:
         div_slack = rot_slack = None
     return CorrectorSet(
         branch=branch,
-        f=f_fields,
+        f=f,
         Lambda=Lam,
         U=U,
         M=M,
@@ -419,34 +396,28 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
 
 def corrector_divergence_target(a_cell: CellSolution, l: int, j: int) -> ScalarField:
     """Explicit right-hand side of the divergence identity (field over the cell)."""
-    grid = a_cell.grid
-    a0_sqrt = a_cell.effective_sqrt()
-    c = a_cell.effective_inv_sqrt()[:, j]
-    const = 1j * a0_sqrt[l, j]
-    osc = 1j * np.einsum("m...,m->...", a_cell.tilde.values[l], c)
-    return ScalarField(grid, const - osc)
+    _, s2 = vector_cell_sources(a_cell, l, j)
+    a0_sqrt = matrix_sqrt(a_cell.effective)
+    return ScalarField(a_cell.grid, 1j * a0_sqrt[l, j] - s2)
 
 
 def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
                               l: int, j: int, dealias: bool = True) -> VectorField:
     """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
     grid = a_cell.grid
-    c = a_cell.effective_inv_sqrt()[:, j]
+    c = matrix_inv_sqrt(a_cell.effective)[:, j]
     b0_inv = np.linalg.inv(b_cell.effective)
     h = b0_inv @ np.cross(_EYE3[l], c)
     one_plus_yb = b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1)
     t1 = 1j * matvec_vals(one_plus_yb, np.broadcast_to(
         h.reshape(3, 1, 1, 1), (3,) + grid.n).astype(complex))
-    ya_c = matvec_vals(a_cell.Y.values, np.broadcast_to(
-        c.reshape(3, 1, 1, 1), (3,) + grid.n).astype(complex)) + c.reshape(3, 1, 1, 1)
-    cross2 = -_cross_const_left(l, ya_c)  # ((Y_A + 1) c_j) x e_l
-    binv = b_cell.coefficient.inv()
-    t2 = 1j * pointwise(binv, VectorField(grid, cross2), "mv",
-                        dealias=dealias).values
-    return VectorField(grid, t1 + t2)
+    s1, _ = vector_cell_sources(a_cell, l, j)
+    binv_s1 = pointwise(b_cell.coefficient.inv(), VectorField(grid, s1), "mv",
+                        dealias=dealias)
+    return VectorField(grid, t1 - binv_s1.values)
 
 
-def _corrector_identity_slacks(a_cell, b_cell, f_fields, dealias=True):
+def _corrector_identity_slacks(a_cell, b_cell, f_fields):
     a_sqrt_m = a_cell.coefficient.power(0.5)
     a_isqrt_m = a_cell.coefficient.power(-0.5)
     binv_m = b_cell.coefficient.inv()
@@ -455,15 +426,14 @@ def _corrector_identity_slacks(a_cell, b_cell, f_fields, dealias=True):
     for l in range(3):
         for j in range(3):
             f = f_fields[l][j]
-            sf = pointwise(a_sqrt_m, f, "mv", dealias=dealias)
+            sf = pointwise(a_sqrt_m, f, "mv", dealias=True)
             div_act = divergence(sf)
             div_slack[l, j] = l2_norm(
                 sub(div_act, corrector_divergence_target(a_cell, l, j)))
-            cf = curl(pointwise(a_isqrt_m, f, "mv", dealias=dealias))
-            rot_act = pointwise(binv_m, cf, "mv", dealias=dealias)
+            cf = curl(pointwise(a_isqrt_m, f, "mv", dealias=True))
+            rot_act = pointwise(binv_m, cf, "mv", dealias=True)
             rot_slack[l, j] = l2_norm(
-                sub(rot_act, corrector_rotation_target(a_cell, b_cell, l, j,
-                                                       dealias=dealias)))
+                sub(rot_act, corrector_rotation_target(a_cell, b_cell, l, j)))
     return div_slack, rot_slack
 
 

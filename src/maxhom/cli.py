@@ -3,9 +3,12 @@
 The configuration is an INI file with sections [lattice], [grid], [eta],
 [mu], [solver], [maxwell], [converge], [output]; all quantities are
 dimensionless, and the [solver] settings tol, maxiter and workers apply to
-all three commands.  Exit codes: 0 success, 1 solver failure, 2 malformed
-configuration or violated precondition (including a coefficient eigenvalue
-below the floor).  All randomness is seeded from the
+all three commands.  Exit codes: 0 success; 1 solver failure, after which
+the command's JSON artifact holds partial: true and the failure message; 2
+malformed configuration or violated precondition (including maxiter < 1, a
+non-finite source_decay or coefficient sample, and a coefficient eigenvalue
+below the floor).  With first_order, maxwell_run.json holds the vector-cell
+diagnostics of each branch under "correctors".  All randomness is seeded from the
 configuration, so reruns with the same file and worker count reproduce the
 JSON and CSV artifacts byte for byte apart from the recorded runtimes.
 """
@@ -46,6 +49,10 @@ from .solvers import NoConvergence, validate_tol
 EXIT_OK = 0
 EXIT_SOLVER = 1
 EXIT_CONFIG = 2
+
+# the JSON artifact of each command; a solver failure leaves it partial
+ARTIFACTS = {"cell": "effective.json", "maxwell": "maxwell_run.json",
+             "converge": "converge.json"}
 
 
 class ConfigError(ValueError):
@@ -217,6 +224,8 @@ def _setup(cfg: RunConfig, out_override, workers, tol):
         validate_tol(cfg.tol)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
+    if cfg.maxiter < 1:
+        raise ConfigError(f"[solver] maxiter must be positive, got {cfg.maxiter}")
     fields.set_fft_workers(cfg.workers)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,7 +275,7 @@ def cmd_cell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
                          ("Wstar", cell.Wstar)):
             write_field(out / f"{name}_{fname}.mxhf", f)
     payload["runtime_s"] = time.perf_counter() - t0
-    _json_dump(out / "effective.json", payload)
+    _json_dump(out / ARTIFACTS["cell"], payload)
     return EXIT_OK
 
 
@@ -303,6 +312,10 @@ def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> in
         "diagnostics": sol.diagnostics,
         "regime": TORUS_REGIME_NOTE,
     }
+    if correctors:
+        keys = ("iterations", "residuals", "div_slack", "rot_slack", "lambda_norms")
+        payload["correctors"] = {b: {k: getattr(cs, k) for k in keys}
+                                 for b, cs in correctors.items()}
     for name, f in sol.fields.items():
         write_field(out / f"{name}.mxhf", f)
     for b, f in sol.phi.items():
@@ -310,14 +323,14 @@ def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> in
     for b, f in sol.phi0.items():
         write_field(out / f"phi0_{b}.mxhf", f)
     payload["runtime_s"] = time.perf_counter() - t0
-    _json_dump(out / "maxwell_run.json", payload)
+    _json_dump(out / ARTIFACTS["maxwell"], payload)
     return EXIT_OK
 
 
 def cmd_converge(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
     out, lattice, grid = _setup(cfg, out_override, workers, tol)
     report = convergence_study(cfg)
-    (out / "converge.json").write_text(report_to_json(report))
+    (out / ARTIFACTS["converge"]).write_text(report_to_json(report))
     (out / "converge.csv").write_text(report_to_csv(report))
     return EXIT_SOLVER if report.partial else EXIT_OK
 
@@ -348,6 +361,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NoConvergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        _json_dump(Path(cfg.out_dir) / ARTIFACTS[args.command],
+                   {"partial": True, "failure": str(exc)})
         return EXIT_SOLVER
 
 

@@ -334,6 +334,8 @@ class CoefficientField:
 
     def __post_init__(self):
         vals = self.matrix.values
+        if not np.all(np.isfinite(vals)):
+            raise SingularPoint("coefficient has non-finite samples")
         asym = np.max(np.abs(vals - np.swapaxes(vals, 0, 1)))
         ref = np.max(np.abs(vals))
         if asym > 1e-12 * max(ref, 1.0):

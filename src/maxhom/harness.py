@@ -219,6 +219,8 @@ def layered_oracle_smoothed(alpha: float, beta: float, fill: float,
 def random_band_vector(grid: GridSpec, max_mode: int, seed: int,
                        decay: float = 0.5, zero_mean: bool = True) -> VectorField:
     """Real band-limited random vector field with geometrically decaying modes."""
+    if not np.isfinite(decay):
+        raise InvalidParams(f"source decay must be finite, got {decay}")
     rng = np.random.default_rng(seed)
     spec = np.zeros((3,) + grid.n, dtype=complex)
     sel = np.max(np.abs(grid.modes), axis=0) <= max_mode

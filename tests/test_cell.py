@@ -258,3 +258,32 @@ def test_invalid_tol_rejected(grid16, tol):
         mh.CoefficientDescriptor("constant", {"value": 2.0}), grid16)
     with pytest.raises(ValueError, match="tol"):
         mh.solve_scalar_cell(a, tol=tol)
+
+
+def test_correctors_stored_once(correctors_r):
+    # every f_lj is a view of column j of Lambda_l, not a second copy
+    assert np.max(correctors_r.iterations) > 0
+    for l in range(3):
+        lam = correctors_r.Lambda[l].values
+        for j in range(3):
+            f = correctors_r.f[l][j].values
+            assert np.shares_memory(f, lam)
+            assert np.array_equal(f, lam[:, j])
+
+
+def test_vector_cell_constant_pair_diagnostics(grid16):
+    # constant coefficients: no solve runs, and the identity checks of the
+    # shared assembly path see vanishing correctors
+    eta = mh.generate_coefficient(
+        mh.CoefficientDescriptor("constant", {"value": 2.0}), grid16)
+    mu = mh.generate_coefficient(
+        mh.CoefficientDescriptor("constant", {"value": 3.0}), grid16)
+    ce = mh.solve_scalar_cell(eta, tol=1e-10)
+    cm = mh.solve_scalar_cell(mu, tol=1e-10)
+    for branch in ("q", "r"):
+        cs = mh.solve_vector_cell(ce, cm, branch, tol=1e-10)
+        assert np.all(cs.iterations == 0)
+        assert np.all(cs.residuals == 0.0)
+        assert np.all(cs.lambda_norms == 0.0)
+        assert np.max(cs.div_slack) <= 1e-12
+        assert np.max(cs.rot_slack) <= 1e-12

@@ -282,3 +282,71 @@ def test_bad_branch_named(tmp_path, capsys):
     code = main(["maxwell", "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == EXIT_CONFIG
     assert "[maxwell] branch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("maxiter = 20000", "maxiter = -5"),
+    ("amplitude = 1.0", "amplitude = nan"),
+    ("value = 3.0", "value = inf"),
+    ("source_decay = 0.5", "source_decay = nan"),
+])
+def test_bad_inputs_exit_before_cg(tmp_path, capsys, old, new):
+    path = write_config(tmp_path, TRIG_CONFIG.replace(old, new))
+    out = tmp_path / "o"
+    code = main(["maxwell", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if old.startswith("maxiter"):
+        assert "maxiter" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("cell", "effective.json"),
+    ("maxwell", "maxwell_run.json"),
+    ("converge", "converge.json"),
+])
+def test_solver_failure_leaves_partial_artifact(tmp_path, capsys, command,
+                                                artifact):
+    path = write_config(tmp_path, TRIG_CONFIG.replace("maxiter = 20000",
+                                                      "maxiter = 2"))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert "solver failure" in capsys.readouterr().err
+    payload = json.loads((out / artifact).read_text())
+    assert payload["partial"] is True
+    assert "scalar cell" in payload["failure"]
+
+
+MATRIX_CONFIG = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+    "kind = constant\nvalue = 2.0",
+    "kind = trig_matrix\nseed = 3\nbase = 2.0 2.5 3.0\namplitude = 0.45\n"
+    "modes = 1 1 1").replace(
+    "kind = constant\nvalue = 3.0",
+    "kind = trig_matrix\nseed = 4\nbase = 1.5 2.0 2.5\namplitude = 0.45\n"
+    "modes = 1 1 1").replace("first_order = false", "first_order = true")
+
+
+def test_maxwell_reports_corrector_diagnostics(tmp_path):
+    path = write_config(tmp_path, MATRIX_CONFIG)
+    out = tmp_path / "o"
+    assert main(["maxwell", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    payload = json.loads((out / "maxwell_run.json").read_text())
+    assert sorted(payload["correctors"]) == ["q", "r"]
+    for block in payload["correctors"].values():
+        assert set(block) == {"iterations", "residuals", "div_slack",
+                              "rot_slack", "lambda_norms"}
+        iterations = np.array(block["iterations"])
+        assert iterations.shape == (3, 3)
+        assert np.all(iterations > 0)
+        for key in ("residuals", "div_slack", "rot_slack"):
+            assert np.array(block[key]).shape == (3, 3)
+        assert len(block["lambda_norms"]) == 3
+
+
+def test_maxwell_without_correctors_has_no_corrector_block(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "o"
+    assert main(["maxwell", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert "correctors" not in json.loads((out / "maxwell_run.json").read_text())
