@@ -53,7 +53,6 @@ from .fields import (
     MatrixField,
     ScalarField,
     VectorField,
-    curl,
     div_vals,
     divergence,
     fftn,
@@ -66,7 +65,6 @@ from .fields import (
     mean,
     pointwise,
     rescale_periodic,
-    sub,
     harmonic_mean_matrix,
     arithmetic_mean_matrix,
 )
@@ -243,15 +241,6 @@ def build_antisym_potentials(cell: CellSolution) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _cross_const_left(l: int, v: np.ndarray) -> np.ndarray:
-    """e_l x v for an array of shape (3, n1, n2, n3)."""
-    a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
-    out = np.zeros_like(v)
-    out[a] = -v[b]
-    out[b] = v[a]
-    return out
-
-
 @dataclass
 class CorrectorSet:
     """Vector cell solutions f_lj with their assembled and derived objects."""
@@ -305,7 +294,10 @@ def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
     c = matrix_inv_sqrt(a_cell.effective)[:, j]
     yc = matvec_vals(a_cell.Y.values, np.broadcast_to(
         c.reshape(3, 1, 1, 1), (3,) + a_cell.grid.n).astype(complex)) + c.reshape(3, 1, 1, 1)
-    s1 = 1j * _cross_const_left(l, yc)
+    a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
+    cross = np.zeros_like(yc)
+    cross[a], cross[b] = -yc[b], yc[a]
+    s1 = 1j * cross
     s2 = 1j * np.einsum("m...,m->...", a_cell.tilde.values[l], c)
     return s1, s2
 
@@ -318,9 +310,9 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
 
     Both scalar cell solutions must be converged.  Raises
     :class:`~maxhom.solvers.NoConvergence` on stall.  check_identities=False
-    skips the de-aliased divergence/rotation defect evaluation (it pads the
-    grid 2x and dominates the cost on large grids); the slack arrays are then
-    None.
+    skips the de-aliased divergence/rotation defect evaluation (three 3/2-rule
+    products per Lambda_l, a large share of the cost on large grids); the
+    slack arrays are then None.
     """
     validate_tol(tol)
     a_cell, b_cell = branch_pair(branch, eta_cell, mu_cell)
@@ -374,10 +366,8 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     lam_norms = np.array([l2_norm(m) for m in Lam]) / np.sqrt(grid.cell_volume)
 
     U, M = build_antisym_potentials(a_cell)
-    if check_identities:
-        div_slack, rot_slack = _corrector_identity_slacks(a_cell, b_cell, f)
-    else:
-        div_slack = rot_slack = None
+    div_slack, rot_slack = (_corrector_identity_slacks(a_cell, b_cell, Lam)
+                            if check_identities else (None, None))
     return CorrectorSet(
         branch=branch,
         f=f,
@@ -401,40 +391,41 @@ def corrector_divergence_target(a_cell: CellSolution, l: int, j: int) -> ScalarF
     return ScalarField(a_cell.grid, 1j * a0_sqrt[l, j] - s2)
 
 
-def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
-                              l: int, j: int, dealias: bool = True) -> VectorField:
-    """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
-    grid = a_cell.grid
+def _rotation_constant(a_cell: CellSolution, b_cell: CellSolution,
+                       l: int, j: int) -> np.ndarray:
+    """i (1 + Y_B) B0^{-1} (e_l x c_j): the rotation identity's right-hand
+    side B^{-1} (curl A^{-1/2} f_lj + s1), from scalar cell data only."""
     c = matrix_inv_sqrt(a_cell.effective)[:, j]
-    b0_inv = np.linalg.inv(b_cell.effective)
-    h = b0_inv @ np.cross(_EYE3[l], c)
-    one_plus_yb = b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1)
-    t1 = 1j * matvec_vals(one_plus_yb, np.broadcast_to(
-        h.reshape(3, 1, 1, 1), (3,) + grid.n).astype(complex))
+    h = np.linalg.inv(b_cell.effective) @ np.cross(_EYE3[l], c)
+    return 1j * np.einsum("ij...,j->i...", b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1), h)
+
+
+def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
+                              l: int, j: int) -> VectorField:
+    """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
     s1, _ = vector_cell_sources(a_cell, l, j)
-    binv_s1 = pointwise(b_cell.coefficient.inv(), VectorField(grid, s1), "mv",
-                        dealias=dealias)
-    return VectorField(grid, t1 - binv_s1.values)
+    binv_s1 = matvec_vals(b_cell.coefficient.inv().values, s1)
+    return VectorField(a_cell.grid, _rotation_constant(a_cell, b_cell, l, j) - binv_s1)
 
 
-def _corrector_identity_slacks(a_cell, b_cell, f_fields):
-    a_sqrt_m = a_cell.coefficient.power(0.5)
-    a_isqrt_m = a_cell.coefficient.power(-0.5)
-    binv_m = b_cell.coefficient.inv()
-    div_slack = np.zeros((3, 3))
-    rot_slack = np.zeros((3, 3))
+def _corrector_identity_slacks(a_cell, b_cell, Lam):
+    """L2 defects (divergence, rotation) of the identities per (l, j), from
+    three de-aliased products per Lambda_l (each covers its three columns)."""
+    grid, A = a_cell.grid, a_cell.coefficient
+    slacks = np.zeros((2, 3, 3))
     for l in range(3):
+        # div and curl of a matrix field act on its columns f_lj
+        div_act = div_vals(grid, pointwise(A.power(0.5), Lam[l], "mm", dealias=True).values)
+        rot_arg = curl_vals(grid, pointwise(A.power(-0.5), Lam[l], "mm", dealias=True).values)
+        rot_arg += np.stack([vector_cell_sources(a_cell, l, j)[0] for j in range(3)], axis=1)
+        rot_act = pointwise(b_cell.coefficient.inv(), MatrixField(grid, rot_arg), "mm",
+                            dealias=True).values
         for j in range(3):
-            f = f_fields[l][j]
-            sf = pointwise(a_sqrt_m, f, "mv", dealias=True)
-            div_act = divergence(sf)
-            div_slack[l, j] = l2_norm(
-                sub(div_act, corrector_divergence_target(a_cell, l, j)))
-            cf = curl(pointwise(a_isqrt_m, f, "mv", dealias=True))
-            rot_act = pointwise(binv_m, cf, "mv", dealias=True)
-            rot_slack[l, j] = l2_norm(
-                sub(rot_act, corrector_rotation_target(a_cell, b_cell, l, j)))
-    return div_slack, rot_slack
+            slacks[0, l, j] = l2_norm(ScalarField(
+                grid, div_act[j] - corrector_divergence_target(a_cell, l, j).values))
+            slacks[1, l, j] = l2_norm(VectorField(
+                grid, rot_act[:, j] - _rotation_constant(a_cell, b_cell, l, j)))
+    return slacks
 
 
 def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
@@ -455,7 +446,7 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
     av = A.matrix.values
     a_sqrt = A.power(0.5).values
 
-    C = corrector_rotation_target(a_cell, b_cell, l, j, dealias=False)
+    C = corrector_rotation_target(a_cell, b_cell, l, j)
     Cb = matvec_vals(b_cell.coefficient.matrix.values, C.values)
     D = corrector_divergence_target(a_cell, l, j)
 

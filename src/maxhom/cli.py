@@ -226,11 +226,14 @@ def _setup(cfg: RunConfig, out_override, workers, tol):
         raise ConfigError(f"[solver] {exc}") from None
     if cfg.maxiter < 1:
         raise ConfigError(f"[solver] maxiter must be positive, got {cfg.maxiter}")
+    if cfg.source_seed < 0 or cfg.source_max_mode < 1:
+        raise ConfigError("[maxwell] source_seed must be >= 0 and source_max_mode >= 1, "
+                          f"got {cfg.source_seed} and {cfg.source_max_mode}")
+    lattice = make_lattice(cfg.basis)
+    grid = GridSpec(cfg.grid_n, lattice)
     fields.set_fft_workers(cfg.workers)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lattice = make_lattice(cfg.basis)
-    grid = GridSpec(cfg.grid_n, lattice)
     return out, lattice, grid
 
 

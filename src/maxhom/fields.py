@@ -17,9 +17,12 @@ its frequency array with gradient/divergence so that curl(grad f) = 0 and
 div(curl v) = 0 hold to rounding.
 
 Pointwise products of band-limited fields alias; the `dealias=True` paths
-evaluate products on a 2x padded grid and truncate back, which keeps identity
-checks honest.  Solver operator applications use plain collocation products
-(the standard Fourier collocation scheme).
+evaluate products by the 3/2 rule (Orszag 1971): on a grid of 3n/2 nodes per
+axis, then truncated back to n.  This is exact for the truncated product of
+two grid-band factors: each carries the modes -n/2 .. n/2-1, so the product
+carries -n .. n-2, and a kept mode k aliases only to k +- 3n/2, which lies
+outside that range.  Solver operator applications use plain collocation
+products (the standard Fourier collocation scheme).
 
 Integral conventions over the cell Omega:
 
@@ -240,14 +243,15 @@ def pointwise(a: Field, b: Field, spec: str, dealias: bool = False) -> Field:
     "mv" matrix@vector, "mm" matrix@matrix, "vdot" <vector, vector>
     (bilinear, no conjugation).
 
-    With dealias=True both factors are padded to the doubled grid, multiplied
-    there, and the result truncated back; exact whenever the true product is
-    band-limited to the doubled grid.
+    With dealias=True the product follows the 3/2 rule: both factors are
+    padded to 3n/2 nodes per axis, multiplied there, and the result truncated
+    back to n.  Exact for factors band-limited to the grid (modes -n/2 ..
+    n/2-1), since no alias of their product lands on a kept mode.
     """
     _check_same_grid(a, b)
     g = a.grid
     if dealias:
-        pn = tuple(2 * nk for nk in g.n)
+        pn = tuple(3 * nk // 2 for nk in g.n)
         av = _resize_spectrum(a.values, g.n, pn)
         bv = _resize_spectrum(b.values, g.n, pn)
         pv = _product_values(av, bv, spec)

@@ -54,9 +54,11 @@ class LatticeSpec:
 def make_lattice(basis) -> LatticeSpec:
     """Build a :class:`LatticeSpec` from three basis vectors (rows of `basis`).
 
-    Raises :class:`DegenerateBasis` when |det| < 1e-12 * prod |a_j|.
+    Raises :class:`DegenerateBasis` if an entry is non-finite or |det| < 1e-12 prod |a_j|.
     """
     a = np.asarray(basis, dtype=float).reshape(3, 3).copy()
+    if not np.all(np.isfinite(a)):
+        raise DegenerateBasis(f"basis has non-finite entries: {a.tolist()}")
     det = np.linalg.det(a)
     scale = np.prod(np.linalg.norm(a, axis=1))
     if abs(det) < 1e-12 * scale:

@@ -287,3 +287,37 @@ def test_vector_cell_constant_pair_diagnostics(grid16):
         assert np.all(cs.lambda_norms == 0.0)
         assert np.max(cs.div_slack) <= 1e-12
         assert np.max(cs.rot_slack) <= 1e-12
+
+
+def _matrix_pair_cells(n):
+    grid = mh.GridSpec((n, n, n), mh.cubic_lattice())
+    return [mh.solve_scalar_cell(mh.generate_coefficient(mh.CoefficientDescriptor(
+        "trig_matrix", {"base": base, "amplitude": 0.45, "modes": [1, 1, 1]},
+        seed=seed), grid), tol=1e-10)
+        for base, seed in (([2.0, 2.5, 3.0], 3), ([1.5, 2.0, 2.5], 4))]
+
+
+def test_identity_checks_take_three_dealiased_products_per_lambda(monkeypatch):
+    import maxhom.cell as cell_mod
+    calls = []
+
+    def counting(a, b, spec, dealias=False):
+        calls.append(dealias)
+        return F.pointwise(a, b, spec, dealias=dealias)
+
+    monkeypatch.setattr(cell_mod, "pointwise", counting)
+    ce, cm = _matrix_pair_cells(8)
+    for branch in ("q", "r"):
+        calls.clear()
+        mh.solve_vector_cell(ce, cm, branch, tol=1e-9, check_identities=True)
+        assert 0 < sum(calls) <= 9, (branch, sum(calls))
+
+
+def test_div_slack_matches_per_column_recomputation():
+    ce, cm = _matrix_pair_cells(16)
+    cs = mh.solve_vector_cell(ce, cm, "q", tol=1e-9)
+    l, j = 1, 2
+    sf = F.pointwise(ce.coefficient.power(0.5), cs.f[l][j], "mv", dealias=True)
+    per_column = F.l2_norm(F.sub(F.divergence(sf),
+                                 corrector_divergence_target(ce, l, j)))
+    assert abs(cs.div_slack[l, j] - per_column) <= 1e-14

@@ -350,3 +350,20 @@ def test_maxwell_without_correctors_has_no_corrector_block(tmp_path):
     out = tmp_path / "o"
     assert main(["maxwell", "--config", str(path), "--out", str(out)]) == EXIT_OK
     assert "correctors" not in json.loads((out / "maxwell_run.json").read_text())
+
+
+@pytest.mark.parametrize("old,new,named", [
+    ("source_seed = 7", "source_seed = -1", "source_seed"),
+    ("basis = 1 0 0", "basis = nan 0 0", "non-finite"),
+    ("source_max_mode = 4", "source_max_mode = -1", "source_max_mode"),
+])
+def test_bad_source_and_basis_exit_before_output(tmp_path, capsys, old, new, named):
+    text = TRIG_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(old, new)
+    out = tmp_path / "o"
+    code = main(["maxwell", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -194,3 +194,37 @@ def test_csv_slice_export(tmp_path, grid16):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 1 + grid16.n[0]
     assert lines[0].startswith("t,re_0,im_0")
+
+
+def _truncated_product_on_2n(av, bv, spec, n):
+    # independent reference: zero-pad both spectra to the 2n grid, multiply
+    # nodally there (no mode of the product aliases), keep modes -n/2..n/2-1
+    axes = (-3, -2, -1)
+    keep = (Ellipsis,) + (slice(n // 2, n // 2 + n),) * 3
+
+    def pad(v):
+        out = np.zeros(v.shape[:-3] + (2 * n,) * 3, dtype=complex)
+        out[keep] = np.fft.fftshift(np.fft.fftn(v, axes=axes), axes=axes)
+        return np.fft.ifftn(np.fft.ifftshift(out, axes=axes), axes=axes) * 8
+
+    prod = F._product_values(pad(av), pad(bv), spec)
+    ph = np.fft.fftshift(np.fft.fftn(prod, axes=axes), axes=axes)[keep]
+    return np.fft.ifftn(np.fft.ifftshift(ph, axes=axes), axes=axes) / 8
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 24])
+@pytest.mark.parametrize("spec", ["ss", "mv"])
+def test_three_halves_dealiasing_matches_doubled_grid(cubic, n, spec):
+    # any complex grid samples are a grid-band trigonometric polynomial; the
+    # 3/2-rule product must equal the truncated product of the 2n grid
+    grid = mh.GridSpec((n, n, n), cubic)
+    rng = np.random.default_rng(n)
+    shapes = {"ss": ((), ()), "mv": ((3, 3), (3,))}[spec]
+    classes = {"ss": (F.ScalarField, F.ScalarField),
+               "mv": (F.MatrixField, F.VectorField)}[spec]
+    a, b = (cls(grid, rng.standard_normal(sh + grid.n)
+                + 1j * rng.standard_normal(sh + grid.n))
+            for cls, sh in zip(classes, shapes))
+    got = F.pointwise(a, b, spec, dealias=True).values
+    ref = _truncated_product_on_2n(a.values, b.values, spec, n)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
