@@ -111,7 +111,7 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     """
     validate_tol(tol)
     grid = a.grid
-    av = a.matrix.values
+    av = a.values
     apply_op, apply_prec = elliptic_operator(a)
     potentials, grads, infos = [], [], []
     for j in range(3):
@@ -134,7 +134,7 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     G = MatrixField(grid, g_vals, real=True)
     w_vals = np.einsum(
         "ij...,jk...,kl->il...",
-        a.power(0.5).values,
+        a.power_vals(0.5),
         y_vals + _EYE3.reshape(3, 3, 1, 1, 1),
         matrix_inv_sqrt(effective),
     )
@@ -285,21 +285,24 @@ def requested_branches(requested: str) -> tuple[str, ...]:
     return (requested,)
 
 
+def _real_sources(a_cell: CellSolution, l: int, j: int):
+    """(s1 / i, s2 / i) of the (l, j) vector cell problem, as float64 arrays."""
+    c = matrix_inv_sqrt(a_cell.effective)[:, j]
+    yc = np.einsum("ij...,j->i...", a_cell.Y.values.real, c) + c.reshape(3, 1, 1, 1)
+    a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
+    cross = np.zeros_like(yc)
+    cross[a], cross[b] = -yc[b], yc[a]
+    return cross, np.einsum("m...,m->...", a_cell.tilde.values[l].real, c)
+
+
 def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
     """The pair (s1, s2) entering the (l, j) vector cell problem.
 
     s1 = i e_l x ((Y_A + 1) c_j)  (vector),
     s2 = i <e_l, tilde_A c_j>     (scalar),   c_j = (A^0)^{-1/2} e_j.
     """
-    c = matrix_inv_sqrt(a_cell.effective)[:, j]
-    yc = matvec_vals(a_cell.Y.values, np.broadcast_to(
-        c.reshape(3, 1, 1, 1), (3,) + a_cell.grid.n).astype(complex)) + c.reshape(3, 1, 1, 1)
-    a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
-    cross = np.zeros_like(yc)
-    cross[a], cross[b] = -yc[b], yc[a]
-    s1 = 1j * cross
-    s2 = 1j * np.einsum("m...,m->...", a_cell.tilde.values[l], c)
-    return s1, s2
+    s1, s2 = _real_sources(a_cell, l, j)
+    return 1j * s1, 1j * s2
 
 
 def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
@@ -321,9 +324,8 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     B = b_cell.coefficient
 
     def _is_constant(c):
-        m = mean(c.matrix).real.reshape(3, 3, 1, 1, 1)
-        return np.max(np.abs(c.matrix.values - m)) <= 1e-14 * max(
-            1.0, np.max(np.abs(m)))
+        m = c.mean_matrix().reshape(3, 3, 1, 1, 1)
+        return np.max(np.abs(c.values - m)) <= 1e-14 * max(1.0, np.max(np.abs(m)))
 
     lam = np.zeros((3, 3, 3) + grid.n, dtype=complex)  # lam[l, :, j] is f_lj
     residuals = np.zeros((3, 3))
@@ -332,11 +334,11 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     # constants, every f_lj vanishes and no solve runs
     if not (_is_constant(A) and _is_constant(B)
             and np.max(np.abs(a_cell.Y.values)) == 0.0):
-        a_sqrt = A.power(0.5).values
-        a_isqrt = A.power(-0.5).values
-        b_inv = B.inv().values
-        prec_inv = sym_symbol_inverse(grid, mean(A.matrix).real,
-                                      mean(B.matrix).real, shift=0.0)
+        a_sqrt = A.power_vals(0.5)
+        a_isqrt = A.power_vals(-0.5)
+        b_inv = B.power_vals(-1.0)
+        prec_inv = sym_symbol_inverse(grid, A.mean_matrix(), B.mean_matrix(),
+                                      shift=0.0)
 
         def apply_op(f):
             out = apply_sym(grid, a_sqrt, a_isqrt, b_inv, f, shift=0.0)
@@ -345,9 +347,11 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
         def apply_prec(r):
             return apply_symbol(grid, prec_inv, r)
 
+        # the sources are i times real fields: solve for f_lj / i in real
+        # arithmetic and apply the factor i to the result
         for l in range(3):
             for j in range(3):
-                s1, s2 = vector_cell_sources(a_cell, l, j)
+                s1, s2 = _real_sources(a_cell, l, j)
                 rhs = (
                     -matvec_vals(a_isqrt, curl_vals(grid, matvec_vals(b_inv, s1)))
                     + matvec_vals(a_sqrt, grad_vals(grid, s2))
@@ -355,9 +359,9 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
                 rhs = rhs - rhs.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
                 if np.max(np.abs(rhs)) < 1e-14:
                     continue
-                lam[l, :, j], info = pcg(
-                    apply_op, rhs, apply_prec, tol, maxiter,
-                    context=f"vector cell branch={branch} l={l} j={j}")
+                x, info = pcg(apply_op, rhs, apply_prec, tol, maxiter,
+                              context=f"vector cell branch={branch} l={l} j={j}")
+                lam[l, :, j] = 1j * x
                 residuals[l, j] = info.residual
                 iterations[l, j] = info.iterations
 
@@ -404,7 +408,7 @@ def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
                               l: int, j: int) -> VectorField:
     """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
     s1, _ = vector_cell_sources(a_cell, l, j)
-    binv_s1 = matvec_vals(b_cell.coefficient.inv().values, s1)
+    binv_s1 = matvec_vals(b_cell.coefficient.power_vals(-1.0), s1)
     return VectorField(a_cell.grid, _rotation_constant(a_cell, b_cell, l, j) - binv_s1)
 
 
@@ -443,11 +447,11 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
     """
     grid = a_cell.grid
     A = a_cell.coefficient
-    av = A.matrix.values
-    a_sqrt = A.power(0.5).values
+    av = A.values
+    a_sqrt = A.power_vals(0.5)
 
     C = corrector_rotation_target(a_cell, b_cell, l, j)
-    Cb = matvec_vals(b_cell.coefficient.matrix.values, C.values)
+    Cb = matvec_vals(b_cell.coefficient.values, C.values)
     D = corrector_divergence_target(a_cell, l, j)
 
     # g_C = curl (-Laplace)^-1 Cb: curl g_C = Cb, div g_C = 0 (needs

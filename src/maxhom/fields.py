@@ -9,7 +9,19 @@ there are no finite differences anywhere.
 The raw-array ``*_vals`` functions are the one implementation of the
 calculus; the :class:`Field` functions wrap them, and every operator, symbol,
 symbol inverse and the elliptic solver built on them live in
-:mod:`maxhom.operators`.
+:mod:`maxhom.operators`.  The raw layer has one transform path,
+:func:`spectral_map`: a real-to-complex FFT (``rfftn``) onto the half
+spectrum (last axis cut to n3//2 + 1 modes, ``GridSpec.freq_half``), a
+multiplier there, and ``irfftn`` back.  Real input gives real output at about
+half the cost of the complex transform pair; complex input is mapped by
+linearity, as re + i im, which costs about one complex pass.  The solvers
+feed it float64 arrays.  ``fftn``/``ifftn`` (complex-to-complex) remain for
+the complex-valued paths: de-aliased products, projections, smoothing, the
+antisymmetric potentials and the first-order ansatz.
+
+Coefficients are real: :class:`CoefficientField` stores its samples and
+matrix powers once, as float64 arrays, and builds complex
+:class:`MatrixField` views on demand.
 
 curl is realized through the representation curl = sum_j b_j D_j with the
 constant antisymmetric matrices b_j, i.e. mode-wise as i k x (.), and shares
@@ -33,7 +45,7 @@ Integral conventions over the cell Omega:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from typing import ClassVar
 
 import numpy as np
@@ -127,22 +139,38 @@ def _check_same_grid(a: Field, b) -> None:
 # ---------------------------------------------------------------------------
 
 
+def spectral_map(grid: GridSpec, v: np.ndarray, fn) -> np.ndarray:
+    """irfftn(fn(rfftn(v))) over the last three axes: `fn` maps the half
+    spectrum of v to the half spectrum of the result, and must send real
+    fields to real fields (a multiplier m with m(-k) = conj m(k), such as i k
+    or a real even symbol).  A complex v is mapped by linearity, as
+    map(re v) + i map(im v)."""
+    if np.iscomplexobj(v):
+        return spectral_map(grid, v.real, fn) + 1j * spectral_map(grid, v.imag, fn)
+    vh = sfft.rfftn(v, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    return sfft.irfftn(fn(vh), s=grid.n, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
 def grad_vals(grid: GridSpec, s: np.ndarray) -> np.ndarray:
-    return ifftn(1j * grid.freq_deriv * fftn(s)[None])
+    return spectral_map(grid, s, lambda sh: 1j * grid.freq_half * sh[None])
 
 
 def div_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    return ifftn(np.einsum("d...,d...->...", 1j * grid.freq_deriv, fftn(v)))
+    return spectral_map(
+        grid, v, lambda vh: 1j * np.einsum("d...,d...->...", grid.freq_half, vh))
 
 
 def curl_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    k = grid.freq_deriv
-    vh = fftn(v)
-    out = np.empty_like(vh)
-    out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
-    out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
-    out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
-    return ifftn(out)
+    k = grid.freq_half
+
+    def cross(vh):
+        out = np.empty_like(vh)
+        out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
+        out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
+        out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
+        return out
+
+    return spectral_map(grid, v, cross)
 
 
 def grad_norm2_mean(grid: GridSpec, vals: np.ndarray) -> float:
@@ -158,6 +186,14 @@ def matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def const_matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Constant 3x3 matrix applied to a vector-valued array (3, n)."""
     return np.einsum("ij,j...->i...", m, v)
+
+
+def real_if_close(vals: np.ndarray, rtol: float = 1e-14) -> np.ndarray:
+    """vals.real when the imaginary part of `vals` is rounding noise (at most
+    rtol times its sup-norm), else `vals` unchanged."""
+    if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) <= rtol * np.max(np.abs(vals)):
+        return vals.real
+    return vals
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -183,10 +219,15 @@ def mean(f: Field):
     return m
 
 
+def l2_norm_vals(grid: GridSpec, vals: np.ndarray) -> float:
+    """L2(Omega) norm of raw samples (all components), including the |Omega| factor."""
+    w = grid.cell_volume / grid.size
+    return float(np.sqrt(w * np.sum(np.abs(vals) ** 2)))
+
+
 def l2_norm(f: Field) -> float:
     """L2(Omega) norm of the field (all components), including the |Omega| factor."""
-    w = f.grid.cell_volume / f.grid.size
-    return float(np.sqrt(w * np.sum(np.abs(f.values) ** 2)))
+    return l2_norm_vals(f.grid, f.values)
 
 
 def inner(f: Field, g: Field) -> complex:
@@ -288,20 +329,21 @@ def scale(a: Field, c) -> Field:
     return a._like(a.values * c, real=a.real and np.isreal(c))
 
 
-def rescale_periodic(f: Field, n_periods: int, torus: GridSpec) -> Field:
-    """Exact nodal samples of x -> f(x / eps), eps = 1/n_periods, on a torus
-    grid commensurate with the cell grid of f.
+def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> tuple:
+    """Index map of x -> f(x / eps), eps = 1/n_periods, from a cell grid to a
+    commensurate torus grid: `vals[..., *index]` samples cell data `vals` on
+    the torus nodes.
 
     Torus node j maps to the cell fractional coordinate
     n_periods * (j / N_t - 1/2) mod 1, which must land on a cell node; this
     holds whenever n_periods * N_cell is a multiple of N_torus per axis
     (in the common equal-resolution case: n_periods divides N).
     """
-    if not np.allclose(torus.lattice.basis, f.grid.lattice.basis):
+    if not np.allclose(torus.lattice.basis, cell.lattice.basis):
         raise GridMismatch("torus and cell grids use different lattices")
     idx = []
     for ax in range(3):
-        nt, nc = torus.n[ax], f.grid.n[ax]
+        nt, nc = torus.n[ax], cell.n[ax]
         # torus node j at fractional n*(j/nt - 1/2) lands on cell node
         # nc * (n*(j/nt - 1/2) + 1/2) mod nc
         num = n_periods * np.arange(nt) * nc
@@ -311,8 +353,13 @@ def rescale_periodic(f: Field, n_periods: int, torus: GridSpec) -> Field:
                 f"grid {nt} from cell grid {nc}"
             )
         idx.append((num // nt + (nc * (1 - n_periods)) // 2) % nc)
-    vals = f.values[..., idx[0][:, None, None], idx[1][None, :, None],
-                    idx[2][None, None, :]]
+    return idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]
+
+
+def rescale_periodic(f: Field, n_periods: int, torus: GridSpec) -> Field:
+    """Exact nodal samples of x -> f(x / eps), eps = 1/n_periods, on a torus
+    grid commensurate with the cell grid of f (see :func:`rescale_index`)."""
+    vals = f.values[(Ellipsis,) + rescale_index(f.grid, n_periods, torus)]
     return type(f)(torus, vals, real=f.real)
 
 
@@ -327,50 +374,80 @@ _EIG_FLOOR = 1e-8  # coefficients with smaller eigenvalues are rejected
 class CoefficientField:
     """Symmetric positive definite matrix-valued coefficient on a grid.
 
-    Stores the essential bounds (min / max eigenvalue over the grid) and the
-    pointwise matrix functions needed by the solvers (inverse, +-1/2 powers),
-    computed once through a per-node eigendecomposition.
+    Built from real matrix samples; stores them once, as float64 `values`
+    (3, 3, n1, n2, n3), together with the essential bounds (min / max
+    eigenvalue over the grid) and the pointwise matrix functions needed by
+    the solvers (inverse, +-1/2 powers), computed once through a per-node
+    eigendecomposition and cached as float64 arrays.  `matrix` and `power`
+    wrap them as complex :class:`MatrixField` on demand.
     """
 
-    matrix: MatrixField
+    samples: InitVar[MatrixField]
+    grid: GridSpec = dc_field(init=False)
+    values: np.ndarray = dc_field(init=False, repr=False)
     ess_lower: float = dc_field(init=False)
     ess_upper: float = dc_field(init=False)
 
-    def __post_init__(self):
-        vals = self.matrix.values
+    def __post_init__(self, samples: MatrixField):
+        self._setup(samples.grid, samples.values, None)
+
+    def _setup(self, grid: GridSpec, vals: np.ndarray, eig) -> None:
+        """Check finiteness, symmetry and the eigenvalue floor; `eig` is the
+        (w, v) per-node eigendecomposition of vals, computed when None."""
         if not np.all(np.isfinite(vals)):
             raise SingularPoint("coefficient has non-finite samples")
         asym = np.max(np.abs(vals - np.swapaxes(vals, 0, 1)))
         ref = np.max(np.abs(vals))
         if asym > 1e-12 * max(ref, 1.0):
             raise ValueError(f"coefficient not pointwise symmetric: {asym:.3e}")
-        a = np.moveaxis(vals.real, (0, 1), (-2, -1))
-        w, v = np.linalg.eigh(a)
+        vals = np.ascontiguousarray(vals.real)
+        if eig is None:
+            eig = np.linalg.eigh(np.moveaxis(vals, (0, 1), (-2, -1)))
+        w, v = eig
         self.ess_lower = float(w.min())
         self.ess_upper = float(w.max())
         if self.ess_lower < _EIG_FLOOR:
             raise SingularPoint(
                 f"coefficient eigenvalue {self.ess_lower:.3e} below floor {_EIG_FLOOR}"
             )
+        self.grid = grid
+        self.values = vals
         self._eig_w = w
         self._eig_v = v
         self._power_cache: dict = {}
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.matrix.grid
+    def rescaled(self, n_periods: int, torus: GridSpec) -> "CoefficientField":
+        """x -> a(x / eps), eps = 1/n_periods, on a commensurate torus grid.
 
-    def _matfun(self, f) -> MatrixField:
-        w, v = self._eig_w, self._eig_v
-        out = (v * f(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-        out = np.moveaxis(out, (-2, -1), (0, 1))
-        return MatrixField(self.grid, np.ascontiguousarray(out), real=True)
+        The samples and their eigendecomposition are resampled with the
+        :func:`rescale_index` map, so no eigendecomposition runs again; the
+        checks of the constructor are repeated on the resampled data.
+        """
+        idx = rescale_index(self.grid, n_periods, torus)
+        out = object.__new__(CoefficientField)
+        out._setup(torus, self.values[(Ellipsis,) + idx],
+                   (self._eig_w[idx], self._eig_v[idx]))
+        return out
+
+    @property
+    def matrix(self) -> MatrixField:
+        return MatrixField(self.grid, self.values, real=True)
+
+    def mean_matrix(self) -> np.ndarray:
+        """Cell mean of the coefficient, a real (3, 3) matrix."""
+        return self.values.reshape(3, 3, -1).mean(axis=-1)
+
+    def power_vals(self, p: float) -> np.ndarray:
+        """Pointwise matrix power (p = -1, +-1/2, ...) as float64 (3, 3, n); cached."""
+        if p not in self._power_cache:
+            w, v = self._eig_w, self._eig_v
+            out = (v * (w**p)[..., None, :]) @ np.swapaxes(v, -1, -2)
+            self._power_cache[p] = np.ascontiguousarray(
+                np.moveaxis(out, (-2, -1), (0, 1)))
+        return self._power_cache[p]
 
     def power(self, p: float) -> MatrixField:
-        """Pointwise matrix power (p = -1, +-1/2, ...); cached."""
-        if p not in self._power_cache:
-            self._power_cache[p] = self._matfun(lambda w: w**p)
-        return self._power_cache[p]
+        return MatrixField(self.grid, self.power_vals(p), real=True)
 
     def inv(self) -> MatrixField:
         return self.power(-1.0)
@@ -383,12 +460,12 @@ class CoefficientField:
 def harmonic_mean_matrix(a: CoefficientField) -> np.ndarray:
     """Inverse of the cell mean of the pointwise inverse (a lower bound for
     the effective matrix in quadratic-form order)."""
-    inv_mean = mean(a.inv())
+    inv_mean = a.power_vals(-1.0).reshape(3, 3, -1).mean(axis=-1)
     return np.linalg.inv(inv_mean)
 
 
 def arithmetic_mean_matrix(a: CoefficientField) -> np.ndarray:
-    return mean(a.matrix)
+    return a.mean_matrix()
 
 
 # ---------------------------------------------------------------------------

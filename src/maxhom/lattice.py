@@ -101,6 +101,10 @@ class GridSpec:
                 odd derivatives of real fields stay real and the operator
                 identities (curl grad = 0, div curl = 0) hold exactly
     k2_deriv    |freq_deriv|^2, used by the periodic Poisson inverse
+    freq_half   freq_deriv on the half spectrum of a real transform
+                (last axis cut to n3//2 + 1 modes), shape (3, n1, n2, n3//2 + 1)
+    k2_half     |freq_half|^2; the raw-array calculus, the solver symbols
+                and their inverses live on this half spectrum
     """
 
     def __init__(self, n, lattice: LatticeSpec):
@@ -124,6 +128,9 @@ class GridSpec:
             nyq |= mg[ax] == -(n[ax] // 2)
         self.freq_deriv = np.where(nyq[None], 0.0, self.freq)
         self.k2_deriv = np.einsum("d...,d...->...", self.freq_deriv, self.freq_deriv)
+        half = n[2] // 2 + 1
+        self.freq_half = np.ascontiguousarray(self.freq_deriv[..., :half])
+        self.k2_half = np.ascontiguousarray(self.k2_deriv[..., :half])
 
     @property
     def cell_volume(self) -> float:

@@ -50,7 +50,6 @@ from .fields import (
     CoefficientField,
     MatrixField,
     VectorField,
-    ScalarField,
     add,
     const_matvec_vals,
     curl_vals,
@@ -60,14 +59,17 @@ from .fields import (
     grad_vals,
     ifftn,
     l2_norm,
+    l2_norm_vals,
     matvec_vals,
     mean,
+    real_if_close,
     rescale_periodic,
     sub,
 )
 from .lattice import GridSpec
 from .operators import (apply_sym, apply_symbol, curl_curl_symbol, elliptic_operator,
-                        guarded_div, matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
+                        guarded_div, matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse,
+                        symbol_layout)
 from .smoothing import SteklovMultiplier, steklov_apply, steklov_multiplier
 from .solvers import NoConvergence, pcg, validate_tol
 
@@ -103,15 +105,13 @@ class MaxwellProblem:
                 raise ValueError(
                     f"eps = 1/{self.n_periods} does not divide the torus "
                     f"grid resolution {self.torus.n[ax]} on axis {ax}")
-        self.eta_eps = CoefficientField(
-            rescale_periodic(self.eta.matrix, self.n_periods, self.torus))
-        self.mu_eps = CoefficientField(
-            rescale_periodic(self.mu.matrix, self.n_periods, self.torus))
+        self.eta_eps = self.eta.rescaled(self.n_periods, self.torus)
+        self.mu_eps = self.mu.rescaled(self.n_periods, self.torus)
         for ax in range(3):
             step = self.torus.n[ax] // self.n_periods
             if not np.array_equal(
-                np.roll(self.eta_eps.matrix.values, step, axis=2 + ax),
-                self.eta_eps.matrix.values,
+                np.roll(self.eta_eps.values, step, axis=2 + ax),
+                self.eta_eps.values,
             ):
                 raise ValueError("resampled coefficient is not eps-periodic")
         for name, f in (("q", self.q), ("r", self.r)):
@@ -188,14 +188,16 @@ def _branch_coeffs(problem: MaxwellProblem, branch: str):
 def symmetrized_rhs(problem: MaxwellProblem, branch: str) -> VectorField:
     """i A^{-1/2} source for the branch's symmetrized equation."""
     A, _, src = _branch_coeffs(problem, branch)
-    vals = 1j * matvec_vals(A.power(-0.5).values, src.values)
+    vals = 1j * matvec_vals(A.power_vals(-0.5), src.values)
     return VectorField(problem.torus, vals)
 
 
 def _cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:
-    """Mode-wise inverse of [k]x^T B0^{-1} [k]x + A0 (the first-order-form
-    preconditioner; invertible at every mode since A0 is SPD)."""
-    return np.linalg.inv(curl_curl_symbol(grid, b0) + np.asarray(a0, dtype=float))
+    """Mode-wise inverse of [k]x^T B0^{-1} [k]x + A0 on the half spectrum
+    (the first-order-form preconditioner; invertible at every mode since A0
+    is SPD), in the layout :func:`~maxhom.operators.apply_symbol` takes."""
+    return symbol_layout(np.linalg.inv(curl_curl_symbol(grid, b0)
+                                       + np.asarray(a0, dtype=float)))
 
 
 def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
@@ -225,17 +227,17 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
     validate_tol(tol)
     A, B, src = _branch_coeffs(problem, branch)
     g = problem.torus
-    a_vals = A.matrix.values
-    a_sqrt = A.power(0.5).values
-    a_isqrt = A.power(-0.5).values
-    b_inv = B.inv().values
-    a0 = mean(A.matrix).real
-    b0 = mean(B.matrix).real
-    s = symmetrized_rhs(problem, branch)
-    snorm = l2_norm(s)
-    rhs1 = 1j * src.values
+    a_vals = A.values
+    a_sqrt = A.power_vals(0.5)
+    a_isqrt = A.power_vals(-0.5)
+    b_inv = B.power_vals(-1.0)
+    # for a real source every array below is real: the solve runs for
+    # y / i and phi / i, and the factor i is applied once to the result
+    rhs1 = real_if_close(src.values)
+    s = matvec_vals(a_isqrt, rhs1)
+    snorm = l2_norm_vals(g, s)
 
-    prec = _cross_symbol_inverse(g, b0, a0)
+    prec = _cross_symbol_inverse(g, B.mean_matrix(), A.mean_matrix())
 
     def apply_k(y):
         return curl_vals(g, matvec_vals(b_inv, curl_vals(g, y))) \
@@ -261,9 +263,8 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
                            maxiter, context="constraint repair")
             iterations += pinfo.iterations
             phi_vals = phi_vals - matvec_vals(a_sqrt, grad_vals(g, p))
-        res = apply_sym(g, a_sqrt, a_isqrt, b_inv, phi_vals, shift=1.0) - s.values
-        rel = float(np.sqrt(np.sum(np.abs(res) ** 2)
-                            / np.sum(np.abs(s.values) ** 2)))
+        res = apply_sym(g, a_sqrt, a_isqrt, b_inv, phi_vals, shift=1.0) - s
+        rel = float(np.sqrt(np.sum(np.abs(res) ** 2) / np.sum(np.abs(s) ** 2)))
         if rel <= tol:
             break
         inner_tol *= 1e-2
@@ -272,8 +273,7 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
             iterations, rel,
             f"symmetrized residual check branch={branch} (tol {tol:.3e})")
 
-    phi = VectorField(g, phi_vals)
-    leak = l2_norm(ScalarField(g, div_vals(g, matvec_vals(a_sqrt, phi_vals))))
+    leak = l2_norm_vals(g, div_vals(g, matvec_vals(a_sqrt, phi_vals)))
     if leak > 10.0 * tol * snorm:
         raise NoConvergence(
             iterations, leak / snorm,
@@ -285,7 +285,7 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
         "leakage": leak,
         "leakage_rel": leak / snorm if snorm else 0.0,
     }
-    return phi, diag
+    return VectorField(g, 1j * phi_vals), diag
 
 
 def solve_effective(problem: MaxwellProblem, eta0, mu0, branch: str,
@@ -304,15 +304,20 @@ def solve_effective(problem: MaxwellProblem, eta0, mu0, branch: str,
 def _fields_from_phi(g: GridSpec, phi_vals: np.ndarray, branch: str,
                      a_isqrt, a_sqrt, b_inv, apply) -> dict:
     """u, v, w, z from phi, with A the main coefficient of the branch and B
-    the other one; `apply(m, x)` applies a matrix coefficient to an array."""
-    x = apply(a_isqrt, phi_vals)
-    y = apply(a_sqrt, phi_vals)
+    the other one; `apply(m, x)` applies a matrix coefficient to an array.
+
+    The map is linear and the pipeline's phi is i times a real field, so it
+    runs on phi / i (in real arithmetic when that is real) and applies i to
+    the four results."""
+    p = real_if_close(-1j * phi_vals)
+    x = apply(a_isqrt, p)
+    y = apply(a_sqrt, p)
     c = curl_vals(g, x) if branch == "r" else -curl_vals(g, x)
     d = apply(b_inv, c)
     # r: v = A^{-1/2} phi, z = A^{1/2} phi, w = curl v, u = B^{-1} w
     # q: u = A^{-1/2} phi, w = A^{1/2} phi, z = -curl u, v = B^{-1} z
     u, v, w, z = (d, x, c, y) if branch == "r" else (x, d, y, c)
-    return {n: VectorField(g, f) for n, f in zip("uvwz", (u, v, w, z))}
+    return {n: VectorField(g, 1j * f) for n, f in zip("uvwz", (u, v, w, z))}
 
 
 def reconstruct_fields(phi: VectorField, problem: MaxwellProblem,
@@ -320,8 +325,8 @@ def reconstruct_fields(phi: VectorField, problem: MaxwellProblem,
     """Physical fields u, v, w, z from the symmetrized unknown."""
     A, B, _ = _branch_coeffs(problem, branch)
     return _fields_from_phi(problem.torus, phi.values, branch,
-                            A.power(-0.5).values, A.power(0.5).values,
-                            B.inv().values, matvec_vals)
+                            A.power_vals(-0.5), A.power_vals(0.5),
+                            B.power_vals(-1.0), matvec_vals)
 
 
 def effective_level_fields(phi_level: VectorField, eta0, mu0,
@@ -444,12 +449,14 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
         src = branch_pair(b, problem.q, problem.r)[0]
         ceps = rhs_eps[b] = branch_pair(b, q_eps, r_eps)[0]
         m0_is = matrix_inv_sqrt(m0)
-        # one mode-wise symbol inverse serves both constant-coefficient solves
+        # one mode-wise symbol inverse serves both constant-coefficient
+        # solves; their sources i m0^{-1/2} (src | ceps) are i times real
+        # fields, so each solve runs in real arithmetic and applies i once
         inv = sym_symbol_inverse(g, m0, h0, shift=1.0)
-        rhs0 = 1j * const_matvec_vals(m0_is, src.values)
-        phi0[b] = VectorField(g, apply_symbol(g, inv, rhs0))
-        rhs_c = 1j * const_matvec_vals(m0_is, ceps.values)
-        corr_phi[b] = VectorField(g, apply_symbol(g, inv, rhs_c))
+        phi0[b], corr_phi[b] = (
+            VectorField(g, 1j * apply_symbol(
+                g, inv, const_matvec_vals(m0_is, real_if_close(f.values))))
+            for f in (src, ceps))
 
         fb = reconstruct_fields(phi_b, problem, b)
         f0 = effective_level_fields(phi0[b], eta0, mu0, b)

@@ -20,17 +20,23 @@ the operator is the Fourier multiplier
     P(k) = A0^{-1/2} [k]x^T B0^{-1} [k]x A0^{-1/2}
          + A0^{1/2} k k^T A0^{1/2} + shift * 1,
 
-which is assembled mode-by-mode as a (n1, n2, n3, 3, 3) array; this is both
-the exact solver for effective problems and the preconditioner for the
-variable-coefficient CG.
+which is assembled mode-by-mode on the half spectrum of a real transform
+(the last axis cut to n3//2 + 1 modes, see :func:`maxhom.fields.spectral_map`)
+and stored component-first, as a real (3, 3, n1, n2, n3//2 + 1) array; this
+is both the exact solver for effective problems and the preconditioner for
+the variable-coefficient CG.  Every symbol here is real and even in k, so it
+maps real fields to real fields, and the solves built on these operators run
+in real arithmetic: their sources are real up to one global factor i, which
+the callers apply once to the result.  The half spectrum halves the symbol
+memory and the mode-wise 3x3 inversions against the full spectrum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import (CoefficientField, curl_vals, div_vals, fftn, grad_vals, ifftn,
-                     matvec_vals, mean)
+from .fields import (CoefficientField, curl_vals, div_vals, grad_vals, matvec_vals,
+                     spectral_map)
 from .lattice import GridSpec
 
 
@@ -46,16 +52,15 @@ def elliptic_operator(a: CoefficientField):
     -div mean(a) grad, with its null modes mapped to zero.
     """
     grid = a.grid
-    av = a.matrix.values
-    a_ref = mean(a.matrix).real
-    pm = np.einsum("ij,i...,j...->...", a_ref, grid.freq_deriv, grid.freq_deriv)
+    av = a.values
+    pm = np.einsum("ij,i...,j...->...", a.mean_matrix(), grid.freq_half, grid.freq_half)
     inv_pm = guarded_div(1.0, pm)
 
     def apply_op(p):
         return -div_vals(grid, matvec_vals(av, grad_vals(grid, p)))
 
     def apply_prec(r):
-        return ifftn(inv_pm * fftn(r))
+        return spectral_map(grid, r, lambda rh: inv_pm * rh)
 
     return apply_op, apply_prec
 
@@ -89,9 +94,9 @@ def matrix_inv_sqrt(m) -> np.ndarray:
 
 
 def curl_curl_symbol(grid: GridSpec, b0) -> np.ndarray:
-    """[k]x^T B0^{-1} [k]x for every grid mode, shape (n1, n2, n3, 3, 3)."""
-    k = np.moveaxis(grid.freq_deriv, 0, -1)
-    K = np.zeros(grid.n + (3, 3))  # [k]x
+    """[k]x^T B0^{-1} [k]x on the half spectrum, shape (n1, n2, n3//2 + 1, 3, 3)."""
+    k = np.moveaxis(grid.freq_half, 0, -1)
+    K = np.zeros(k.shape[:-1] + (3, 3))  # [k]x
     K[..., 0, 1] = -k[..., 2]
     K[..., 0, 2] = k[..., 1]
     K[..., 1, 0] = k[..., 2]
@@ -102,33 +107,40 @@ def curl_curl_symbol(grid: GridSpec, b0) -> np.ndarray:
     return np.swapaxes(K, -1, -2) @ (Binv @ K)
 
 
+def symbol_layout(blocks: np.ndarray) -> np.ndarray:
+    """Mode-wise (3, 3) blocks (..., 3, 3) in the component-first layout
+    (3, 3, ...) that :func:`apply_symbol` takes."""
+    return np.ascontiguousarray(np.moveaxis(blocks, (-2, -1), (0, 1)))
+
+
 def sym_symbol(grid: GridSpec, a0, b0, shift: float = 0.0) -> np.ndarray:
-    """Constant-coefficient symbol P(k), shape (n1, n2, n3, 3, 3)."""
+    """Constant-coefficient symbol P(k) on the half spectrum, shape
+    (3, 3, n1, n2, n3//2 + 1)."""
     S = matrix_inv_sqrt(a0)
     T = matrix_sqrt(a0)
     term1 = S @ curl_curl_symbol(grid, b0) @ S
-    Tk = np.moveaxis(grid.freq_deriv, 0, -1) @ T  # rows (T k)^T
+    Tk = np.moveaxis(grid.freq_half, 0, -1) @ T  # rows (T k)^T
     term2 = Tk[..., :, None] * Tk[..., None, :]
     sym = term1 + term2
     if shift:
         sym = sym + shift * np.eye(3)
-    return sym
+    return symbol_layout(sym)
 
 
 def sym_symbol_inverse(grid: GridSpec, a0, b0, shift: float = 0.0) -> np.ndarray:
-    """Mode-wise inverse of the symbol; with shift = 0 the singular modes
-    (k = 0 under the derivative convention) are mapped to zero."""
-    sym = sym_symbol(grid, a0, b0, shift=shift)
+    """Mode-wise inverse of the symbol on the half spectrum, shape
+    (3, 3, n1, n2, n3//2 + 1); with shift = 0 the singular modes (k = 0 under
+    the derivative convention) are mapped to zero."""
+    sym = np.moveaxis(sym_symbol(grid, a0, b0, shift=shift), (0, 1), (-2, -1))
     if shift > 0:
-        return np.linalg.inv(sym)
-    mask = grid.k2_deriv > 0
+        return symbol_layout(np.linalg.inv(sym))
+    mask = grid.k2_half > 0
     out = np.zeros_like(sym)
     out[mask] = np.linalg.inv(sym[mask])
-    return out
+    return symbol_layout(out)
 
 
 def apply_symbol(grid: GridSpec, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply a mode-wise (3, 3) multiplier to a vector-valued array (3, n)."""
-    fh = np.moveaxis(fftn(f), 0, -1)
-    out = np.einsum("...ij,...j->...i", symbol, fh)
-    return ifftn(np.moveaxis(out, -1, 0))
+    """Apply a half-spectrum (3, 3) multiplier (3, 3, n1, n2, n3//2 + 1) to a
+    vector-valued array (3, n)."""
+    return spectral_map(grid, f, lambda fh: matvec_vals(symbol, fh))

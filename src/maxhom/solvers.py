@@ -6,6 +6,13 @@ preconditioner is an exactly invertible constant-coefficient Fourier symbol.
 The stopping criterion is the preconditioned residual norm relative to the
 preconditioned source norm, which for the Laplacian-like preconditioners used
 here is the natural dual (spectral) norm of the residual.
+
+The operators are real, and the package's solves pass real (float64)
+sources, so CG runs in real arithmetic with real inner products; a complex
+source goes through the same iteration with the real part of the Hermitian
+inner product.  The inner products are plain numpy reductions, which keep
+BLAS threads asleep (a threaded BLAS dot over grid-sized vectors burns CPU
+without shortening the solve).
 """
 
 from __future__ import annotations
@@ -40,8 +47,11 @@ class SolveInfo:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # Hermitian inner product; for Hermitian PD systems the value is real.
-    return float(np.real(np.vdot(a, b)))
+    # real part of the Hermitian inner product; for Hermitian PD systems it is
+    # the whole value
+    if np.iscomplexobj(a):
+        a = np.conj(a)
+    return float(np.sum(a * b).real)
 
 
 def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,

@@ -321,3 +321,15 @@ def test_div_slack_matches_per_column_recomputation():
     per_column = F.l2_norm(F.sub(F.divergence(sf),
                                  corrector_divergence_target(ce, l, j)))
     assert abs(cs.div_slack[l, j] - per_column) <= 1e-14
+
+
+def test_cg_inner_products_keep_off_blas(grid16, monkeypatch):
+    # the CG inner products are numpy reductions, never the threaded BLAS dot
+    def no_vdot(*args, **kwargs):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    a = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=9), grid16)
+    cell = mh.solve_scalar_cell(a, tol=1e-9)
+    assert min(cell.iterations) > 0

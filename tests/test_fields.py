@@ -228,3 +228,109 @@ def test_three_halves_dealiasing_matches_doubled_grid(cubic, n, spec):
     got = F.pointwise(a, b, spec, dealias=True).values
     ref = _truncated_product_on_2n(a.values, b.values, spec, n)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# real-transform calculus against a complex-transform reference
+# ---------------------------------------------------------------------------
+
+
+def _c2c_wavenumbers(grid):
+    # k_m = sum_j m_j b_j on the full spectrum, every mode with a Nyquist
+    # component dropped; built from the mode indices, not from GridSpec arrays
+    axes = [np.fft.fftfreq(nk) * nk for nk in grid.n]
+    m = np.stack(np.meshgrid(*axes, indexing="ij"))
+    nyq = np.zeros(grid.n, dtype=bool)
+    for ax, nk in enumerate(grid.n):
+        nyq |= m[ax] == -(nk // 2)
+    k = np.einsum("jd,j...->d...", grid.lattice.dual, m)
+    return np.where(nyq[None], 0.0, k)
+
+
+def _c2c(v, mult):
+    axes = (-3, -2, -1)
+    return np.fft.ifftn(mult(np.fft.fftn(v, axes=axes)), axes=axes)
+
+
+@pytest.fixture(scope="module", params=[(8, 8, 8), (8, 6, 10), (10, 12, 4)])
+def skew_grid(request):
+    from conftest import random_spd_basis
+    basis = random_spd_basis(np.random.default_rng(sum(request.param)))
+    return mh.GridSpec(request.param, mh.make_lattice(basis))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_r2c_calculus_matches_c2c_reference(skew_grid, kind):
+    g = skew_grid
+    rng = np.random.default_rng(len(kind))
+
+    def sample(shape):
+        v = rng.standard_normal(shape + g.n)
+        return v + 1j * rng.standard_normal(shape + g.n) if kind == "complex" else v
+
+    s, v = sample(()), sample((3,))
+    k = _c2c_wavenumbers(g)
+
+    def cross(vh):
+        return 1j * np.stack([k[1] * vh[2] - k[2] * vh[1],
+                              k[2] * vh[0] - k[0] * vh[2],
+                              k[0] * vh[1] - k[1] * vh[0]])
+
+    pairs = [
+        (F.grad_vals(g, s), _c2c(s, lambda sh: 1j * k * sh[None])),
+        (F.div_vals(g, v), _c2c(v, lambda vh: 1j * np.sum(k * vh, axis=0))),
+        (F.curl_vals(g, v), _c2c(v, cross)),
+    ]
+    a0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]])
+    b0 = np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.3], [0.0, 0.3, 1.5]])
+    from maxhom.operators import (apply_symbol, elliptic_operator, matrix_inv_sqrt,
+                                  matrix_sqrt, sym_symbol)
+    S, T = matrix_inv_sqrt(a0), matrix_sqrt(a0)
+    K = np.zeros(g.n + (3, 3))
+    kk = np.moveaxis(k, 0, -1)
+    K[..., 0, 1], K[..., 0, 2], K[..., 1, 2] = -kk[..., 2], kk[..., 1], -kk[..., 0]
+    K = K - np.swapaxes(K, -1, -2)
+    tk = kk @ T
+    P = (S @ np.swapaxes(K, -1, -2) @ np.linalg.inv(b0) @ K @ S
+         + tk[..., :, None] * tk[..., None, :] + np.eye(3))
+    pairs.append((apply_symbol(g, sym_symbol(g, a0, b0, shift=1.0), v),
+                  _c2c(v, lambda vh: np.einsum("...ij,j...->i...", P, vh))))
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=9), g)
+    m0 = coef.matrix.values.real.reshape(3, 3, -1).mean(axis=-1)
+    pm = np.einsum("ij,i...,j...->...", m0, k, k)
+    inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
+    pairs.append((elliptic_operator(coef)[1](s), _c2c(s, lambda sh: inv_pm * sh)))
+    for got, ref in pairs:
+        assert np.iscomplexobj(got) == (kind == "complex")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_rescaled_coefficient_equals_fresh_setup(grid16):
+    # resampling the eigen data gives what a fresh per-node eigh of the
+    # resampled samples gives, bit for bit
+    a = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    for n in (2, 4, 8):
+        got = a.rescaled(n, grid16)
+        ref = F.CoefficientField(F.rescale_periodic(a.matrix, n, grid16))
+        assert np.array_equal(got.values, ref.values)
+        assert (got.ess_lower, got.ess_upper) == (ref.ess_lower, ref.ess_upper)
+        for p in (0.5, -0.5, -1.0):
+            assert np.array_equal(got.power_vals(p), ref.power_vals(p))
+
+
+def test_make_problem_runs_no_coefficient_setup(grid16, monkeypatch):
+    a = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    calls = []
+    orig = F.CoefficientField.__post_init__
+
+    def counting(self, *args):
+        calls.append(1)
+        orig(self, *args)
+
+    monkeypatch.setattr(F.CoefficientField, "__post_init__", counting)
+    prob = mh.make_problem(a, a, 4, grid16)
+    assert not calls
+    assert prob.eta_eps.values.dtype == np.float64

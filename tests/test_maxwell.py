@@ -594,3 +594,151 @@ def test_branch_pair_convention():
     assert branch_pair("q", "eta", "mu") == ("eta", "mu")
     assert requested_branches("both") == ("q", "r")
     assert requested_branches("r") == ("r",)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum symbols and real-arithmetic solves against c2c references
+# ---------------------------------------------------------------------------
+
+
+def _full_blocks(grid, b0, a0=None):
+    # [k]x^T B0^{-1} [k]x (+ a0) on the full spectrum of the grid
+    k = np.moveaxis(grid.freq_deriv, 0, -1)
+    K = np.zeros(grid.n + (3, 3))
+    K[..., 0, 1], K[..., 0, 2], K[..., 1, 2] = -k[..., 2], k[..., 1], -k[..., 0]
+    K = K - np.swapaxes(K, -1, -2)
+    out = np.swapaxes(K, -1, -2) @ (np.linalg.inv(b0) @ K)
+    return out if a0 is None else out + a0
+
+
+def _full_sym_inverse(grid, a0, b0, shift):
+    from maxhom.operators import matrix_inv_sqrt, matrix_sqrt
+    S, T = matrix_inv_sqrt(a0), matrix_sqrt(a0)
+    tk = np.moveaxis(grid.freq_deriv, 0, -1) @ T
+    P = S @ _full_blocks(grid, b0) @ S + tk[..., :, None] * tk[..., None, :]
+    P = P + shift * np.eye(3)
+    out = np.zeros_like(P)
+    mask = (grid.k2_deriv > 0) | (shift > 0)
+    out[mask] = np.linalg.inv(P[mask])
+    return np.moveaxis(out, (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("n", [(16, 16, 16), (8, 6, 10)])
+def test_half_spectrum_symbol_inverses_are_slices_of_full(cubic, n):
+    from maxhom.maxwell import _cross_symbol_inverse
+    from maxhom.operators import sym_symbol_inverse
+    grid = mh.GridSpec(n, cubic)
+    half = (Ellipsis, slice(0, n[2] // 2 + 1))
+    a0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]])
+    b0 = np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.3], [0.0, 0.3, 1.5]])
+    for shift in (0.0, 1.0):
+        got = sym_symbol_inverse(grid, a0, b0, shift=shift)
+        ref = _full_sym_inverse(grid, a0, b0, shift)[half]
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    got = _cross_symbol_inverse(grid, b0, a0)
+    ref = np.moveaxis(np.linalg.inv(_full_blocks(grid, b0, a0)), (-2, -1), (0, 1))[half]
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_symmetrized_phi_is_imaginary(matrix_problem16):
+    for branch in ("q", "r"):
+        phi, _ = mh.solve_symmetrized(matrix_problem16, branch, tol=1e-9)
+        assert np.all(phi.values.real == 0.0)
+        assert np.max(np.abs(phi.values.imag)) > 0.0
+
+
+def test_cg_iterations_match_c2c_reference(matrix_problem16, monkeypatch):
+    # every CG role of the real-arithmetic pipeline takes the iterations of
+    # the same solve written with complex arrays and c2c transforms (+-1)
+    import maxhom.cell as C
+    import maxhom.maxwell as M
+    from maxhom.cell import vector_cell_sources
+    from maxhom.solvers import pcg
+    prob = matrix_problem16
+    g = prob.torus
+    axes = (-3, -2, -1)
+    k = g.freq_deriv
+
+    def c2c(v, mult):
+        return np.fft.ifftn(mult(np.fft.fftn(v, axes=axes)), axes=axes)
+
+    def grad(s):
+        return c2c(s, lambda sh: 1j * k * sh[None])
+
+    def div(v):
+        return c2c(v, lambda vh: 1j * np.sum(k * vh, axis=0))
+
+    def curl(v):
+        return c2c(v, lambda vh: 1j * np.stack([k[1] * vh[2] - k[2] * vh[1],
+                                                k[2] * vh[0] - k[0] * vh[2],
+                                                k[0] * vh[1] - k[1] * vh[0]]))
+
+    def mv(m, v):
+        return np.einsum("ij...,j...->i...", m, v)
+
+    def symbol(inv):
+        return lambda r: c2c(r, lambda rh: np.einsum("ij...,j...->i...", inv, rh))
+
+    def elliptic(a):
+        av = a.matrix.values
+        pm = np.einsum("ij,i...,j...->...", a.mean_matrix(), k, k)
+        inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
+        return (lambda p: -div(mv(av, grad(p))),
+                lambda r: c2c(r, lambda rh: inv_pm * rh))
+
+    seen = []
+
+    def recording(*args, **kwargs):
+        out = pcg(*args, **kwargs)
+        seen.append((kwargs.get("context", ""), out[1].iterations))
+        return out
+
+    monkeypatch.setattr(C, "pcg", recording)
+    monkeypatch.setattr(M, "pcg", recording)
+    tol = 1e-9
+
+    def close(got, ref):
+        assert abs(got - ref) <= 1, (got, ref)
+
+    # scalar cell
+    cell = mh.solve_scalar_cell(prob.eta, tol=tol)
+    op, prec = elliptic(prob.eta)
+    for j in range(3):
+        rhs = div(prob.eta.matrix.values[:, j])
+        close(cell.iterations[j], pcg(op, rhs, prec, tol, 1000)[1].iterations)
+
+    # vector cell, branch r: A = mu, B = eta
+    cell_mu = mh.solve_scalar_cell(prob.mu, tol=tol)
+    cs = mh.solve_vector_cell(cell, cell_mu, "r", tol=tol, check_identities=False)
+    A, B = prob.mu, prob.eta
+    a_s, a_is, b_i = (A.power(0.5).values, A.power(-0.5).values, B.inv().values)
+    pinv = symbol(_full_sym_inverse(g, A.mean_matrix(), B.mean_matrix(), 0.0))
+
+    def zero_mean(f):
+        return f - f.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
+
+    def op_v(f):
+        return zero_mean(mv(a_is, curl(mv(b_i, curl(mv(a_is, f)))))
+                         - mv(a_s, grad(div(mv(a_s, f)))))
+
+    for l in range(3):
+        for j in range(3):
+            s1, s2 = vector_cell_sources(cell_mu, l, j)
+            rhs = zero_mean(-mv(a_is, curl(mv(b_i, s1))) + mv(a_s, grad(s2)))
+            close(cs.iterations[l, j], pcg(op_v, rhs, pinv, tol, 1000)[1].iterations)
+
+    # symmetrized first pass and its constraint repair, branch r
+    seen.clear()
+    mh.solve_symmetrized(prob, "r", tol=tol)
+    roles = dict(seen[:2])
+    A, B = prob.mu_eps, prob.eta_eps
+    av, a_s, b_i = A.matrix.values, A.power(0.5).values, B.inv().values
+    kp = symbol(np.moveaxis(np.linalg.inv(
+        _full_blocks(g, B.mean_matrix(), A.mean_matrix())), (-2, -1), (0, 1)))
+    y, info = pcg(lambda y: curl(mv(b_i, curl(y))) + mv(av, y), 1j * prob.r.values,
+                  kp, 0.02 * tol, 1000)
+    close(roles["symmetrized solve branch=r"], info.iterations)
+    op, prec = elliptic(A)
+    _, rinfo = pcg(op, -div(mv(a_s, mv(a_s, y))), prec, 1e-4, 1000)
+    close(roles["constraint repair"], rinfo.iterations)
