@@ -64,7 +64,8 @@ from .fields import (
     matvec_vals,
     mean,
     pointwise,
-    rescale_periodic,
+    rescale_index,
+    spectral_map,
     harmonic_mean_matrix,
     arithmetic_mean_matrix,
 )
@@ -126,7 +127,7 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     Y = MatrixField(grid, y_vals, real=True)
     tilde_vals = np.einsum("ik...,kj...->ij...", av, y_vals + _EYE3.reshape(3, 3, 1, 1, 1))
     tilde = MatrixField(grid, tilde_vals, real=True)
-    eff_raw = mean(tilde).real
+    eff_raw = mean(tilde)
     effective = 0.5 * (eff_raw + eff_raw.T)
     asym = float(np.max(np.abs(eff_raw - eff_raw.T)))
     g_vals = np.einsum("ij...,jk->ik...", tilde_vals, np.linalg.inv(effective))
@@ -179,19 +180,19 @@ def cell_identity_slacks(cell: CellSolution, dealias: bool = True) -> dict:
                            for j in range(3))
 
     harm = harmonic_mean_matrix(a)
-    arith = arithmetic_mean_matrix(a).real
+    arith = arithmetic_mean_matrix(a)
     out["voigt_reuss_lower"] = float(np.linalg.eigvalsh(cell.effective - harm).min())
     out["voigt_reuss_upper"] = float(np.linalg.eigvalsh(arith - cell.effective).min())
 
     sup_a, sup_ainv = a.sup_norms()
     vol = grid.cell_volume
     # direction-uniform L2 bounds:  max_|c|=1 ||Y c||^2 = |Omega| lam_max(mean Y^T Y)
-    yty = np.einsum("ji...,jk...->ik...", cell.Y.values.real, cell.Y.values.real)
+    yty = np.einsum("ji...,jk...->ik...", cell.Y.values, cell.Y.values)
     q = yty.reshape(3, 3, -1).mean(axis=-1)
     y_norm = float(np.sqrt(vol * np.linalg.eigvalsh(0.5 * (q + q.T)).max()))
     out["Y_norm"] = y_norm
     out["Y_norm_bound"] = float(np.sqrt(sup_a * sup_ainv * vol))
-    pv = np.stack([p.values.real for p in cell.potentials])
+    pv = np.stack([p.values for p in cell.potentials])
     pp = np.einsum("i...,j...->ij...", pv, pv).reshape(3, 3, -1).mean(axis=-1)
     phi_norm = float(np.sqrt(vol * np.linalg.eigvalsh(0.5 * (pp + pp.T)).max()))
     out["potential_norm"] = phi_norm
@@ -220,19 +221,16 @@ def build_antisym_potentials(cell: CellSolution) -> tuple[np.ndarray, np.ndarray
     """
     grid = cell.grid
     rhs = cell.tilde.values - cell.effective.reshape(3, 3, 1, 1, 1)
-    if np.max(np.abs(rhs)) == 0.0:
-        zero = np.zeros((3, 3) + grid.n, dtype=complex)
-        return zero, np.zeros((3, 3, 3) + grid.n, dtype=complex)
-    uh = guarded_div(-fftn(rhs), grid.k2_deriv)
-    U = ifftn(uh)
-    dU = np.empty((3,) + U.shape, dtype=complex)  # dU[d, l, i] = d_d U_li
-    for d in range(3):
-        dU[d] = ifftn(1j * grid.freq_deriv[d] * uh)
-    M = np.empty((3, 3, 3) + grid.n, dtype=complex)
-    for i in range(3):
-        for l in range(3):
-            for j in range(3):
-                M[i, l, j] = dU[j, l, i] - dU[l, j, i]
+    k = grid.freq_half[:, None, None]
+
+    def potential_and_gradient(rh):
+        uh = guarded_div(-rh, grid.k2_half)
+        return np.concatenate([uh[None], 1j * k * uh[None]])
+
+    out = spectral_map(grid, rhs, potential_and_gradient)
+    U, dU = out[0], out[1:]  # dU[d, l, i] = d_d U_li
+    # M[i, l, j] = dU[j, l, i] - dU[l, j, i]
+    M = np.transpose(dU, (2, 1, 0, 3, 4, 5)) - np.transpose(dU, (2, 0, 1, 3, 4, 5))
     return U, M
 
 
@@ -288,11 +286,11 @@ def requested_branches(requested: str) -> tuple[str, ...]:
 def _real_sources(a_cell: CellSolution, l: int, j: int):
     """(s1 / i, s2 / i) of the (l, j) vector cell problem, as float64 arrays."""
     c = matrix_inv_sqrt(a_cell.effective)[:, j]
-    yc = np.einsum("ij...,j->i...", a_cell.Y.values.real, c) + c.reshape(3, 1, 1, 1)
+    yc = np.einsum("ij...,j->i...", a_cell.Y.values, c) + c.reshape(3, 1, 1, 1)
     a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
     cross = np.zeros_like(yc)
     cross[a], cross[b] = -yc[b], yc[a]
-    return cross, np.einsum("m...,m->...", a_cell.tilde.values[l].real, c)
+    return cross, np.einsum("m...,m->...", a_cell.tilde.values[l], c)
 
 
 def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
@@ -489,7 +487,7 @@ class MultiplierBounds:
 
 def _opnorm_sq(m_vals: np.ndarray) -> np.ndarray:
     """Pointwise squared operator norm of a (3, 3, n) matrix field."""
-    a = np.moveaxis(m_vals.real, (0, 1), (-2, -1))
+    a = np.moveaxis(m_vals, (0, 1), (-2, -1))
     return np.linalg.eigvalsh(np.einsum("...ji,...jk->...ik", a, a))[..., -1]
 
 
@@ -505,14 +503,13 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
     grid = cell.grid
     y2 = _opnorm_sq(cell.Y.values)
     beta1 = 2.0 * float(y2.mean()) * (1.0 + margin)
-    c_hat = max(float(np.max(np.abs(p.values.real))) for p in cell.potentials)
+    c_hat = max(float(np.max(np.abs(p.values))) for p in cell.potentials)
     c_hat = max(c_hat, 1e-30)
     rng = np.random.default_rng(seed)
     need = 0.0
     for eps in eps_list:
         n = int(round(1.0 / eps))
-        yeps2 = rescale_periodic(ScalarField(grid, y2.astype(complex), real=True),
-                                 n, grid).values.real
+        yeps2 = y2[rescale_index(grid, n, grid)]
         for _ in range(n_samples):
             u = _random_band_limited_vector(grid, max_mode, rng)
             u2 = np.sum(np.abs(u) ** 2, axis=0)
@@ -531,8 +528,7 @@ def _random_band_limited_vector(grid: GridSpec, max_mode: int, rng) -> np.ndarra
     sel = np.all(np.abs(grid.modes) <= max_mode, axis=0)
     cnt = int(sel.sum())
     spec[:, sel] = rng.standard_normal((3, cnt)) + 1j * rng.standard_normal((3, cnt))
-    u = ifftn(spec)
-    return u.real.astype(complex)
+    return ifftn(spec).real
 
 
 def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
@@ -548,9 +544,7 @@ def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
     if abs(eps * n - 1.0) > 1e-12:
         raise ValueError(f"eps must be 1/n, got {eps}")
     grid = u.grid
-    y2_cell = _opnorm_sq(Y.values)
-    y2 = rescale_periodic(ScalarField(Y.grid, y2_cell.astype(complex), real=True),
-                          n, grid).values.real
+    y2 = _opnorm_sq(Y.values)[rescale_index(Y.grid, n, grid)]
     w = grid.cell_volume / grid.size
     u2 = np.sum(np.abs(u.values) ** 2, axis=0)
     lhs = float(w * np.sum(y2 * u2))

@@ -258,18 +258,15 @@ def cmd_cell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> int:
         coef = generate_coefficient(desc, grid)
         cell = solve_scalar_cell(coef, tol=cfg.tol, maxiter=cfg.maxiter)
         slacks = cell_identity_slacks(cell)
+        means = {"harmonic": harmonic_mean_matrix(coef),
+                 "effective": cell.effective, "arithmetic": arithmetic_mean_matrix(coef)}
         payload[name] = {
             "descriptor": desc.as_dict(),
             "effective": cell.effective.tolist(),
-            "harmonic_mean": harmonic_mean_matrix(coef).tolist(),
-            "arithmetic_mean": np.real(arithmetic_mean_matrix(coef)).tolist(),
+            "harmonic_mean": means["harmonic"].tolist(),
+            "arithmetic_mean": means["arithmetic"].tolist(),
             "ess_bounds": [coef.ess_lower, coef.ess_upper],
-            "voigt_reuss_eigs": {
-                "harmonic": np.linalg.eigvalsh(harmonic_mean_matrix(coef)).tolist(),
-                "effective": np.linalg.eigvalsh(cell.effective).tolist(),
-                "arithmetic": np.linalg.eigvalsh(
-                    np.real(arithmetic_mean_matrix(coef))).tolist(),
-            },
+            "voigt_reuss_eigs": {k: np.linalg.eigvalsh(m).tolist() for k, m in means.items()},
             "residuals": cell.residuals.tolist(),
             "iterations": list(cell.iterations),
             "identity_slacks": slacks,

@@ -1,10 +1,10 @@
 """Periodic grid fields with exact spectral calculus.
 
-Fields are complex samples on a :class:`~maxhom.lattice.GridSpec`; a scalar
-field stores shape (n1, n2, n3), a vector field (3, n1, n2, n3), and a matrix
-field (3, 3, n1, n2, n3).  All calculus (gradient, divergence, curl) acts on
-the trigonometric interpolant and is therefore exact on band-limited data;
-there are no finite differences anywhere.
+Fields are samples on a :class:`~maxhom.lattice.GridSpec`, stored as float64
+when real and complex128 otherwise; a scalar field stores shape (n1, n2, n3),
+a vector field (3, n1, n2, n3), and a matrix field (3, 3, n1, n2, n3).  All
+calculus (gradient, divergence, curl) acts on the trigonometric interpolant
+and is therefore exact on band-limited data; there are no finite differences.
 
 The raw-array ``*_vals`` functions are the one implementation of the
 calculus; the :class:`Field` functions wrap them, and every operator, symbol,
@@ -14,14 +14,14 @@ symbol inverse and the elliptic solver built on them live in
 spectrum (last axis cut to n3//2 + 1 modes, ``GridSpec.freq_half``), a
 multiplier there, and ``irfftn`` back.  Real input gives real output at about
 half the cost of the complex transform pair; complex input is mapped by
-linearity, as re + i im, which costs about one complex pass.  The solvers
-feed it float64 arrays.  ``fftn``/``ifftn`` (complex-to-complex) remain for
-the complex-valued paths: de-aliased products, projections, smoothing, the
-antisymmetric potentials and the first-order ansatz.
+linearity, as re + i im, which costs about one complex pass.  ``fftn`` and
+``ifftn`` (complex-to-complex) remain where a full spectrum is used: spectrum
+resizing (de-aliasing), random-field synthesis, the first-order ansatz and
+the corrector reconstruction (complex input), ``grad_norm2_mean``, ``brute``.
 
 Coefficients are real: :class:`CoefficientField` stores its samples and
-matrix powers once, as float64 arrays, and builds complex
-:class:`MatrixField` views on demand.
+matrix powers once, as read-only float64 arrays, and builds
+:class:`MatrixField` views of them on demand.
 
 curl is realized through the representation curl = sum_j b_j D_j with the
 constant antisymmetric matrices b_j, i.e. mode-wise as i k x (.), and shares
@@ -86,6 +86,8 @@ def ifftn(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Field:
+    """Grid samples, stored as float64 when their dtype is real, else as
+    complex128; the `real` flag is what `check_real` asserts, not the storage."""
     grid: GridSpec
     values: np.ndarray
     real: bool = False
@@ -94,7 +96,8 @@ class Field:
 
     def __post_init__(self):
         expect = self.RANK_SHAPE + self.grid.n
-        self.values = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        self.values = np.asarray(vals, dtype=complex if np.iscomplexobj(vals) else float)
         if self.values.shape != expect:
             raise ValueError(
                 f"{type(self).__name__} expects shape {expect}, got {self.values.shape}"
@@ -188,14 +191,6 @@ def const_matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j...->i...", m, v)
 
 
-def real_if_close(vals: np.ndarray, rtol: float = 1e-14) -> np.ndarray:
-    """vals.real when the imaginary part of `vals` is rounding noise (at most
-    rtol times its sup-norm), else `vals` unchanged."""
-    if np.iscomplexobj(vals) and np.max(np.abs(vals.imag)) <= rtol * np.max(np.abs(vals)):
-        return vals.real
-    return vals
-
-
 def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, grad_vals(f.grid, f.values), real=f.real)
 
@@ -214,9 +209,7 @@ def mean(f: Field):
     Returns a scalar / length-3 vector / (3, 3) matrix according to rank.
     """
     m = f.values.reshape(f.RANK_SHAPE + (-1,)).mean(axis=-1)
-    if f.real:
-        m = m.real
-    return m
+    return m.real if f.real else m
 
 
 def l2_norm_vals(grid: GridSpec, vals: np.ndarray) -> float:
@@ -379,7 +372,8 @@ class CoefficientField:
     eigenvalue over the grid) and the pointwise matrix functions needed by
     the solvers (inverse, +-1/2 powers), computed once through a per-node
     eigendecomposition and cached as float64 arrays.  `matrix` and `power`
-    wrap them as complex :class:`MatrixField` on demand.
+    wrap them as :class:`MatrixField` on demand; those fields share the
+    stored arrays, which are therefore read-only.
     """
 
     samples: InitVar[MatrixField]
@@ -389,7 +383,8 @@ class CoefficientField:
     ess_upper: float = dc_field(init=False)
 
     def __post_init__(self, samples: MatrixField):
-        self._setup(samples.grid, samples.values, None)
+        # a copy: the stored samples are made read-only, the caller's stay as they are
+        self._setup(samples.grid, np.array(samples.values), None)
 
     def _setup(self, grid: GridSpec, vals: np.ndarray, eig) -> None:
         """Check finiteness, symmetry and the eigenvalue floor; `eig` is the
@@ -410,6 +405,7 @@ class CoefficientField:
             raise SingularPoint(
                 f"coefficient eigenvalue {self.ess_lower:.3e} below floor {_EIG_FLOOR}"
             )
+        vals.setflags(write=False)
         self.grid = grid
         self.values = vals
         self._eig_w = w
@@ -442,8 +438,9 @@ class CoefficientField:
         if p not in self._power_cache:
             w, v = self._eig_w, self._eig_v
             out = (v * (w**p)[..., None, :]) @ np.swapaxes(v, -1, -2)
-            self._power_cache[p] = np.ascontiguousarray(
-                np.moveaxis(out, (-2, -1), (0, 1)))
+            out = np.ascontiguousarray(np.moveaxis(out, (-2, -1), (0, 1)))
+            out.setflags(write=False)
+            self._power_cache[p] = out
         return self._power_cache[p]
 
     def power(self, p: float) -> MatrixField:

@@ -79,10 +79,22 @@ def smoothed_pulse(t: np.ndarray, fill: float, width: float) -> np.ndarray:
 
 
 def _isotropic(grid: GridSpec, profile: np.ndarray) -> CoefficientField:
-    vals = np.zeros((3, 3) + grid.n, dtype=complex)
-    for d in range(3):
-        vals[d, d] = profile
+    vals = np.zeros((3, 3) + grid.n)
+    vals[range(3), range(3)] = profile
     return CoefficientField(MatrixField(grid, vals, real=True))
+
+
+def _axis(value) -> int:
+    if int(value) not in (0, 1, 2):
+        raise InvalidParams(f"coefficient axis must be 0, 1 or 2, got {value}")
+    return int(value)
+
+
+def _values(value, count: int, name: str, dtype) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.shape != (count,):
+        raise InvalidParams(f"{name} needs {count} values, got {np.ravel(value).tolist()}")
+    return arr
 
 
 def generate_coefficient(desc: CoefficientDescriptor,
@@ -103,7 +115,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
         if not 0.0 < fill < 1.0:
             raise InvalidParams(f"fill must be in (0, 1): {fill}")
         width = float(p.get("width", 0.05))
-        axis = int(p.get("axis", 0))
+        axis = _axis(p.get("axis", 0))
         t = grid.fractional_coords()[axis]
         prof = beta + (alpha - beta) * smoothed_pulse(t, fill, width)
         return _isotropic(grid, prof)
@@ -112,7 +124,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
         base = float(p.get("base", 2.0))
         amp = float(p.get("amplitude", 1.0))
         mode = int(p.get("mode", 1))
-        axis = int(p.get("axis", 0))
+        axis = _axis(p.get("axis", 0))
         if base - abs(amp) <= 0:
             raise InvalidParams(f"trig profile not positive: base {base} amp {amp}")
         t = grid.fractional_coords()[axis]
@@ -120,16 +132,16 @@ def generate_coefficient(desc: CoefficientDescriptor,
         return _isotropic(grid, prof)
 
     if desc.kind == "trig_matrix":
-        base = np.asarray(p.get("base", (2.0, 2.5, 3.0)), dtype=float)
+        base = _values(p.get("base", (2.0, 2.5, 3.0)), 3, "trig_matrix base", float)
         amp = float(p.get("amplitude", 0.4))
-        modes = np.asarray(p.get("modes", (1, 1, 1)), dtype=int)
+        modes = _values(p.get("modes", (1, 1, 1)), 3, "trig_matrix modes", int)
         if np.any(base <= 0) or abs(amp) >= 1:
             raise InvalidParams("trig_matrix needs positive base and |amplitude| < 1")
         rng = np.random.default_rng(desc.seed)
         qmat, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         phases = rng.uniform(0, 2 * np.pi, size=3)
         t = grid.fractional_coords()
-        vals = np.zeros((3, 3) + grid.n, dtype=complex)
+        vals = np.zeros((3, 3) + grid.n)
         for kdir in range(3):
             d = base[kdir] * (
                 1.0 + amp * np.cos(2 * np.pi * modes[kdir] * t[kdir] + phases[kdir]))
@@ -141,7 +153,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
         if alpha <= 0 or beta <= 0:
             raise InvalidParams(f"contrast must be positive: {alpha}, {beta}")
         width = float(p.get("width", 0.08))
-        ax1, ax2 = (int(a) for a in p.get("axes", (0, 1)))
+        ax1, ax2 = (_axis(a) for a in _values(p.get("axes", (0, 1)), 2, "axes", int))
         t = grid.fractional_coords()
         s1 = smoothed_pulse(t[ax1], 0.5, width)
         s2 = smoothed_pulse(t[ax2], 0.5, width)
@@ -230,7 +242,7 @@ def random_band_vector(grid: GridSpec, max_mode: int, seed: int,
     w = decay ** np.sum(np.abs(grid.modes), axis=0)[sel]
     spec[:, sel] = (rng.standard_normal((3, cnt))
                     + 1j * rng.standard_normal((3, cnt))) * w
-    vals = ifftn(spec).real.astype(complex) * grid.size
+    vals = ifftn(spec).real * grid.size
     return VectorField(grid, vals, real=True)
 
 
@@ -244,9 +256,7 @@ def random_divfree_field(grid: GridSpec, max_mode: int, seed: int,
                          decay: float = 0.5) -> VectorField:
     """Band-limited, real, zero-mean, divergence-free random field."""
     v = random_band_vector(grid, max_mode, seed, decay)
-    p = leray_project_weighted(v, np.eye(3))
-    p.real = True
-    return p
+    return leray_project_weighted(v, np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,8 @@ from .fields import (
     l2_norm_vals,
     matvec_vals,
     mean,
-    real_if_close,
     rescale_periodic,
+    spectral_map,
     sub,
 )
 from .lattice import GridSpec
@@ -147,13 +147,14 @@ def leray_project_weighted(f: VectorField, s0) -> VectorField:
     (s0)^{-1}-weighted inner product: f - s0 grad p, div(s0 grad p) = div f."""
     g = f.grid
     s0 = np.asarray(s0, dtype=float)
-    k = g.freq_deriv
-    fh = fftn(f.values)
+    k = g.freq_half
     s0k = const_matvec_vals(s0, k)
     denom = np.einsum("i...,i...->...", k, s0k)
-    kf = np.einsum("i...,i...->...", k, fh)
-    coef = guarded_div(kf, denom)
-    return VectorField(g, ifftn(fh - s0k * coef), real=f.real)
+
+    def project(fh):
+        return fh - s0k * guarded_div(np.einsum("i...,i...->...", k, fh), denom)
+
+    return VectorField(g, spectral_map(g, f.values, project), real=f.real)
 
 
 def correction_rhs(problem: MaxwellProblem, Y_eta: MatrixField,
@@ -233,7 +234,7 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
     b_inv = B.power_vals(-1.0)
     # for a real source every array below is real: the solve runs for
     # y / i and phi / i, and the factor i is applied once to the result
-    rhs1 = real_if_close(src.values)
+    rhs1 = src.values
     s = matvec_vals(a_isqrt, rhs1)
     snorm = l2_norm_vals(g, s)
 
@@ -307,9 +308,10 @@ def _fields_from_phi(g: GridSpec, phi_vals: np.ndarray, branch: str,
     the other one; `apply(m, x)` applies a matrix coefficient to an array.
 
     The map is linear and the pipeline's phi is i times a real field, so it
-    runs on phi / i (in real arithmetic when that is real) and applies i to
-    the four results."""
-    p = real_if_close(-1j * phi_vals)
+    runs on phi / i (in real arithmetic when that is exactly real) and
+    applies i to the four results."""
+    p = -1j * phi_vals
+    p = p if np.any(p.imag) else p.real
     x = apply(a_isqrt, p)
     y = apply(a_sqrt, p)
     c = curl_vals(g, x) if branch == "r" else -curl_vals(g, x)
@@ -453,10 +455,8 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
         # solves; their sources i m0^{-1/2} (src | ceps) are i times real
         # fields, so each solve runs in real arithmetic and applies i once
         inv = sym_symbol_inverse(g, m0, h0, shift=1.0)
-        phi0[b], corr_phi[b] = (
-            VectorField(g, 1j * apply_symbol(
-                g, inv, const_matvec_vals(m0_is, real_if_close(f.values))))
-            for f in (src, ceps))
+        phi0[b], corr_phi[b] = (VectorField(g, 1j * apply_symbol(
+            g, inv, const_matvec_vals(m0_is, f.values))) for f in (src, ceps))
 
         fb = reconstruct_fields(phi_b, problem, b)
         f0 = effective_level_fields(phi0[b], eta0, mu0, b)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Field, GridMismatch, fftn, ifftn
+from .fields import Field, GridMismatch, spectral_map
 from .lattice import GridSpec, LatticeSpec
 
 
@@ -82,9 +82,9 @@ def steklov_value_quadrature(lattice: LatticeSpec, k, eps: float, order: int = 4
 
 
 def steklov_apply(u: Field, mult: SteklovMultiplier) -> Field:
-    """Apply S_eps to a field of any rank (multiply Fourier coefficients)."""
+    """Apply S_eps to a field of any rank (multiply Fourier coefficients);
+    the multiplier is real and even, so its half-spectrum slice serves."""
     if not u.grid.compatible(mult.grid):
         raise GridMismatch("field grid does not match multiplier grid")
-    uh = fftn(u.values)
-    out = ifftn(uh * mult.values)
-    return u._like(out)
+    half = mult.values[..., : u.grid.n[2] // 2 + 1]
+    return u._like(spectral_map(u.grid, u.values, lambda uh: uh * half))

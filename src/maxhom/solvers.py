@@ -77,8 +77,9 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
     while it < maxiter:
         ap = apply_op(p)
         pap = _dot(p, ap)
-        if pap <= 0:
-            raise NoConvergence(it, rel, context or "indefinite operator")
+        if pap <= 0:  # breakdown: the operator is not positive definite
+            where = f"{context}: " if context else ""
+            raise NoConvergence(it, rel, where + "indefinite operator")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap

@@ -333,3 +333,19 @@ def test_cg_inner_products_keep_off_blas(grid16, monkeypatch):
         mh.CoefficientDescriptor("trig_matrix", {}, seed=9), grid16)
     cell = mh.solve_scalar_cell(a, tol=1e-9)
     assert min(cell.iterations) > 0
+
+
+def test_real_data_stored_as_float64(grid16, cell_eta, correctors_r):
+    assert mh.random_divfree_field(grid16, 4, 3).values.dtype == np.float64
+    for f in (cell_eta.Y, cell_eta.tilde, cell_eta.G, cell_eta.Wstar):
+        assert f.values.dtype == np.float64
+    assert correctors_r.U.dtype == np.float64
+    assert correctors_r.M.dtype == np.float64
+
+
+def test_pcg_breakdown_names_the_indefinite_operator():
+    from maxhom.solvers import pcg
+    with pytest.raises(NoConvergence) as exc:
+        pcg(lambda p: -p, np.ones(8), lambda r: r, 1e-9, 10, context="scalar cell j=0")
+    msg = str(exc.value)
+    assert msg.startswith("scalar cell j=0: indefinite operator")

@@ -367,3 +367,22 @@ def test_bad_source_and_basis_exit_before_output(tmp_path, capsys, old, new, nam
     assert named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coefficient", [
+    "kind = trig_matrix\nmodes = 1 1",
+    "kind = trig_matrix\nbase = 2 3",
+    "kind = trig_matrix\nbase = 2",
+    "kind = trig_isotropic\naxis = 5",
+    "kind = layered_smoothed\nalpha = 1.0\nbeta = 4.0\naxis = 3",
+    "kind = checkerboard_smoothed\nalpha = 1.0\nbeta = 4.0\naxes = 0 7",
+])
+def test_malformed_coefficient_parameters_exit_2(tmp_path, capsys, coefficient):
+    text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "kind = constant\nvalue = 2.0", coefficient)
+    code = main(["cell", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err

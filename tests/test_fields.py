@@ -334,3 +334,77 @@ def test_make_problem_runs_no_coefficient_setup(grid16, monkeypatch):
     prob = mh.make_problem(a, a, 4, grid16)
     assert not calls
     assert prob.eta_eps.values.dtype == np.float64
+
+
+def test_field_storage_follows_sample_dtype(grid16):
+    real = F.VectorField(grid16, np.ones((3,) + grid16.n))
+    assert real.values.dtype == np.float64
+    cplx = F.VectorField(grid16, np.ones((3,) + grid16.n, dtype=complex))
+    assert cplx.values.dtype == np.complex128
+
+
+def test_mxhf_bytes_independent_of_storage(tmp_path, grid16):
+    v = random_band_vector(grid16, 4, 5)
+    assert v.values.dtype == np.float64
+    c = F.VectorField(grid16, v.values.astype(complex), real=True)
+    F.write_field(tmp_path / "float.mxhf", v)
+    F.write_field(tmp_path / "complex.mxhf", c)
+    assert (tmp_path / "float.mxhf").read_bytes() == (tmp_path / "complex.mxhf").read_bytes()
+
+
+def test_coefficient_arrays_are_read_only(grid16):
+    samples = np.zeros((3, 3) + grid16.n)
+    for d in range(3):
+        samples[d, d] = 2.0
+    coef = F.CoefficientField(F.MatrixField(grid16, samples))
+    samples[0, 0] = 3.0  # the caller's array stays writable and apart
+    assert np.all(coef.values[0, 0] == 2.0)
+    for vals in (coef.power(0.5).values, coef.values, coef.matrix.values):
+        with pytest.raises(ValueError):
+            vals[0, 0, 0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_projection_smoothing_potentials_match_c2c_reference(skew_grid, kind):
+    from types import SimpleNamespace
+    g = skew_grid
+    rng = np.random.default_rng(3 + len(kind))
+
+    def sample(shape):
+        v = rng.standard_normal(shape + g.n)
+        return v + 1j * rng.standard_normal(shape + g.n) if kind == "complex" else v
+
+    def guarded(num, den):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+
+    k = _c2c_wavenumbers(g)
+    k2 = np.sum(k * k, axis=0)
+    v = sample((3,))
+    s0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]])
+    s0k = np.einsum("ij,j...->i...", s0, k)
+
+    def project(vh):
+        return vh - s0k * guarded(np.sum(k * vh, axis=0), np.sum(k * s0k, axis=0))
+
+    pairs = [(mh.leray_project_weighted(F.VectorField(g, v), s0).values, _c2c(v, project))]
+    eps = 0.5
+    m = np.meshgrid(*[np.fft.fftfreq(nk) * nk for nk in g.n], indexing="ij")
+    sinc = np.sinc(eps * m[0]) * np.sinc(eps * m[1]) * np.sinc(eps * m[2])
+    pairs.append((mh.steklov_apply(F.VectorField(g, v), mh.steklov_multiplier(
+        g.lattice, g, eps)).values, _c2c(v, lambda vh: sinc * vh)))
+
+    tilde = sample((3, 3))
+    eff = np.array([[1.5, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 2.0]])
+    cell = SimpleNamespace(grid=g, tilde=F.MatrixField(g, tilde), effective=eff)
+    U, M = mh.build_antisym_potentials(cell)
+    rhs = tilde - eff.reshape(3, 3, 1, 1, 1)
+    dU = [_c2c(rhs, lambda rh: 1j * k[d] * guarded(-rh, k2)) for d in range(3)]
+    M_ref = np.empty((3, 3, 3) + g.n, dtype=complex)
+    for i in range(3):
+        for l in range(3):
+            for j in range(3):
+                M_ref[i, l, j] = dU[j][l, i] - dU[l][j, i]
+    pairs += [(U, _c2c(rhs, lambda rh: guarded(-rh, k2))), (M, M_ref)]
+    for got, ref in pairs:
+        assert np.iscomplexobj(got) == (kind == "complex")
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
