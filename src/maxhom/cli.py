@@ -5,12 +5,13 @@ The configuration is an INI file with sections [lattice], [grid], [eta],
 dimensionless, and the [solver] settings tol, maxiter and workers apply to
 all three commands.  Exit codes: 0 success; 1 solver failure, after which
 the command's JSON artifact holds partial: true and the failure message; 2
-malformed configuration or violated precondition (including maxiter < 1, a
-non-finite source_decay or coefficient sample, and a coefficient eigenvalue
-below the floor).  With first_order, maxwell_run.json holds the vector-cell
-diagnostics of each branch under "correctors".  All randomness is seeded from the
-configuration, so reruns with the same file and worker count reproduce the
-JSON and CSV artifacts byte for byte apart from the recorded runtimes.
+malformed configuration or violated precondition (including maxiter or
+workers < 1, a source_decay whose mode weights overflow, a non-finite
+coefficient sample, and a coefficient eigenvalue below the floor).  With
+first_order, maxwell_run.json holds the vector-cell diagnostics of each
+branch under "correctors".  All randomness is seeded from the configuration,
+so reruns with the same file and worker count reproduce the JSON and CSV
+artifacts byte for byte apart from the recorded runtimes.
 """
 
 from __future__ import annotations
@@ -224,8 +225,9 @@ def _setup(cfg: RunConfig, out_override, workers, tol):
         validate_tol(cfg.tol)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from None
-    if cfg.maxiter < 1:
-        raise ConfigError(f"[solver] maxiter must be positive, got {cfg.maxiter}")
+    if cfg.maxiter < 1 or cfg.workers < 1:
+        raise ConfigError("[solver] maxiter and workers must be positive, "
+                          f"got {cfg.maxiter} and {cfg.workers}")
     if cfg.source_seed < 0 or cfg.source_max_mode < 1:
         raise ConfigError("[maxwell] source_seed must be >= 0 and source_max_mode >= 1, "
                           f"got {cfg.source_seed} and {cfg.source_max_mode}")
@@ -284,14 +286,15 @@ def cmd_maxwell(cfg: RunConfig, out_override=None, workers=None, tol=None) -> in
     out, lattice, grid = _setup(cfg, out_override, workers, tol)
     n = eps_periods(cfg.eps, grid.n)
     inputs = run_inputs(cfg, grid)
-    problem = make_problem(inputs.eta, inputs.mu, n, grid, **inputs.sources)
     correctors = None
     if cfg.first_order:
+        # before make_problem: no eps-level array is alive at the vector-cell peak
         correctors = {
             b: solve_vector_cell(inputs.cell_eta, inputs.cell_mu, b, tol=cfg.tol,
                                  maxiter=cfg.maxiter)
-            for b in problem.branches(cfg.branch)
+            for b in inputs.sources
         }
+    problem = make_problem(inputs.eta, inputs.mu, n, grid, **inputs.sources)
     sol = run_maxwell(problem, inputs.cell_eta, inputs.cell_mu, branch=cfg.branch,
                       tol=cfg.tol, maxiter=cfg.maxiter, correctors=correctors)
 

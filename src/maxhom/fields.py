@@ -16,12 +16,13 @@ multiplier there, and ``irfftn`` back.  Real input gives real output at about
 half the cost of the complex transform pair; complex input is mapped by
 linearity, as re + i im, which costs about one complex pass.  ``fftn`` and
 ``ifftn`` (complex-to-complex) remain where a full spectrum is used: spectrum
-resizing (de-aliasing), random-field synthesis, the first-order ansatz and
-the corrector reconstruction (complex input), ``grad_norm2_mean``, ``brute``.
+resizing (de-aliasing), random-field synthesis, the corrector
+reconstruction (complex input), ``grad_norm2_mean``, ``brute``.
 
 Coefficients are real: :class:`CoefficientField` stores its samples and
-matrix powers once, as read-only float64 arrays, and builds
-:class:`MatrixField` views of them on demand.
+its three matrix functions (powers 1/2, -1/2, -1) once, as read-only float64
+arrays, and builds :class:`MatrixField` views of them on demand; a rescaled
+coefficient gathers those arrays by index and evaluates nothing.
 
 curl is realized through the representation curl = sum_j b_j D_j with the
 constant antisymmetric matrices b_j, i.e. mode-wise as i k x (.), and shares
@@ -60,7 +61,9 @@ _FFT_WORKERS = 1
 
 def set_fft_workers(workers: int) -> None:
     global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(workers))
+    if int(workers) < 1:
+        raise ValueError(f"FFT workers must be >= 1, got {workers}")
+    _FFT_WORKERS = int(workers)
 
 
 class GridMismatch(ValueError):
@@ -367,13 +370,12 @@ _EIG_FLOOR = 1e-8  # coefficients with smaller eigenvalues are rejected
 class CoefficientField:
     """Symmetric positive definite matrix-valued coefficient on a grid.
 
-    Built from real matrix samples; stores them once, as float64 `values`
-    (3, 3, n1, n2, n3), together with the essential bounds (min / max
-    eigenvalue over the grid) and the pointwise matrix functions needed by
-    the solvers (inverse, +-1/2 powers), computed once through a per-node
-    eigendecomposition and cached as float64 arrays.  `matrix` and `power`
-    wrap them as :class:`MatrixField` on demand; those fields share the
-    stored arrays, which are therefore read-only.
+    The constructor checks the real samples (finite, symmetric, eigenvalues
+    above the floor) and evaluates the matrix functions of `POWERS`
+    (a^{1/2}, a^{-1/2}, a^{-1}) once, by a per-node eigendecomposition.  It
+    keeps them, the float64 samples `values` (3, 3, n1, n2, n3) and the
+    per-node eigenvalues (extremes `ess_lower` / `ess_upper`) as read-only
+    C-contiguous arrays; `matrix` and `power` wrap them as MatrixField.
     """
 
     samples: InitVar[MatrixField]
@@ -382,13 +384,11 @@ class CoefficientField:
     ess_lower: float = dc_field(init=False)
     ess_upper: float = dc_field(init=False)
 
+    POWERS: ClassVar[tuple] = (0.5, -0.5, -1.0)
+
     def __post_init__(self, samples: MatrixField):
         # a copy: the stored samples are made read-only, the caller's stay as they are
-        self._setup(samples.grid, np.array(samples.values), None)
-
-    def _setup(self, grid: GridSpec, vals: np.ndarray, eig) -> None:
-        """Check finiteness, symmetry and the eigenvalue floor; `eig` is the
-        (w, v) per-node eigendecomposition of vals, computed when None."""
+        vals = np.array(samples.values)
         if not np.all(np.isfinite(vals)):
             raise SingularPoint("coefficient has non-finite samples")
         asym = np.max(np.abs(vals - np.swapaxes(vals, 0, 1)))
@@ -396,33 +396,32 @@ class CoefficientField:
         if asym > 1e-12 * max(ref, 1.0):
             raise ValueError(f"coefficient not pointwise symmetric: {asym:.3e}")
         vals = np.ascontiguousarray(vals.real)
-        if eig is None:
-            eig = np.linalg.eigh(np.moveaxis(vals, (0, 1), (-2, -1)))
-        w, v = eig
-        self.ess_lower = float(w.min())
-        self.ess_upper = float(w.max())
-        if self.ess_lower < _EIG_FLOOR:
+        w, v = np.linalg.eigh(np.moveaxis(vals, (0, 1), (-2, -1)))
+        if w.min() < _EIG_FLOOR:  # before any power: w**-0.5 of a negative w is NaN
             raise SingularPoint(
-                f"coefficient eigenvalue {self.ess_lower:.3e} below floor {_EIG_FLOOR}"
-            )
-        vals.setflags(write=False)
-        self.grid = grid
-        self.values = vals
-        self._eig_w = w
-        self._eig_v = v
-        self._power_cache: dict = {}
+                f"coefficient eigenvalue {w.min():.3e} below floor {_EIG_FLOOR}")
+        self._store(samples.grid, w, [vals] + [np.ascontiguousarray(np.moveaxis(
+            (v * (w**p)[..., None, :]) @ np.swapaxes(v, -1, -2), (-2, -1), (0, 1)))
+            for p in self.POWERS])
+
+    def _store(self, grid: GridSpec, eigvals: np.ndarray, arrays: list) -> None:
+        """`arrays`: the samples, then the matrix functions of `POWERS`."""
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.grid, self.values, self._eigvals = grid, arrays[0], eigvals
+        self.ess_lower, self.ess_upper = float(eigvals.min()), float(eigvals.max())
+        self._powers = dict(zip(self.POWERS, arrays[1:]))
 
     def rescaled(self, n_periods: int, torus: GridSpec) -> "CoefficientField":
-        """x -> a(x / eps), eps = 1/n_periods, on a commensurate torus grid.
-
-        The samples and their eigendecomposition are resampled with the
-        :func:`rescale_index` map, so no eigendecomposition runs again; the
-        checks of the constructor are repeated on the resampled data.
-        """
+        """x -> a(x / eps), eps = 1/n_periods, on a commensurate torus grid:
+        every stored array gathered through :func:`rescale_index`, one
+        contiguous copy each; a subset of checked data is not checked again."""
         idx = rescale_index(self.grid, n_periods, torus)
+        flat = np.ravel_multi_index(np.broadcast_arrays(*idx), self.grid.n)
         out = object.__new__(CoefficientField)
-        out._setup(torus, self.values[(Ellipsis,) + idx],
-                   (self._eig_w[idx], self._eig_v[idx]))
+        out._store(torus, np.take(self._eigvals.reshape(-1, 3), flat, axis=0),
+                   [np.take(m.reshape(3, 3, -1), flat, axis=-1)
+                    for m in (self.values, *self._powers.values())])
         return out
 
     @property
@@ -434,14 +433,10 @@ class CoefficientField:
         return self.values.reshape(3, 3, -1).mean(axis=-1)
 
     def power_vals(self, p: float) -> np.ndarray:
-        """Pointwise matrix power (p = -1, +-1/2, ...) as float64 (3, 3, n); cached."""
-        if p not in self._power_cache:
-            w, v = self._eig_w, self._eig_v
-            out = (v * (w**p)[..., None, :]) @ np.swapaxes(v, -1, -2)
-            out = np.ascontiguousarray(np.moveaxis(out, (-2, -1), (0, 1)))
-            out.setflags(write=False)
-            self._power_cache[p] = out
-        return self._power_cache[p]
+        """The stored matrix function a^p as float64 (3, 3, n), p in `POWERS`."""
+        if p not in self._powers:
+            raise ValueError(f"power {p} not stored; available: {self.POWERS}")
+        return self._powers[p]
 
     def power(self, p: float) -> MatrixField:
         return MatrixField(self.grid, self.power_vals(p), real=True)

@@ -231,8 +231,11 @@ def layered_oracle_smoothed(alpha: float, beta: float, fill: float,
 def random_band_vector(grid: GridSpec, max_mode: int, seed: int,
                        decay: float = 0.5, zero_mean: bool = True) -> VectorField:
     """Real band-limited random vector field with geometrically decaying modes."""
-    if not np.isfinite(decay):
-        raise InvalidParams(f"source decay must be finite, got {decay}")
+    with np.errstate(all="ignore"):  # checked here, before any array is built
+        top = np.float64(abs(decay)) ** (3 * max_mode)  # the largest mode weight
+    if not np.isfinite(top):
+        raise InvalidParams(f"source decay {decay} gives a mode weight that is not a "
+                            f"finite float (max_mode {max_mode})")
     rng = np.random.default_rng(seed)
     spec = np.zeros((3,) + grid.n, dtype=complex)
     sel = np.max(np.abs(grid.modes), axis=0) <= max_mode

@@ -55,9 +55,7 @@ from .fields import (
     curl_vals,
     div_vals,
     divergence,
-    fftn,
     grad_vals,
-    ifftn,
     l2_norm,
     l2_norm_vals,
     matvec_vals,
@@ -107,20 +105,13 @@ class MaxwellProblem:
                     f"grid resolution {self.torus.n[ax]} on axis {ax}")
         self.eta_eps = self.eta.rescaled(self.n_periods, self.torus)
         self.mu_eps = self.mu.rescaled(self.n_periods, self.torus)
-        for ax in range(3):
-            step = self.torus.n[ax] // self.n_periods
-            if not np.array_equal(
-                np.roll(self.eta_eps.values, step, axis=2 + ax),
-                self.eta_eps.values,
-            ):
-                raise ValueError("resampled coefficient is not eps-periodic")
         for name, f in (("q", self.q), ("r", self.r)):
             if f is None:
                 continue
             if not f.grid.compatible(self.torus):
                 raise ValueError(f"source {name} not on the torus grid")
             d = l2_norm(divergence(f))
-            if d > 1e-10 * max(1.0, l2_norm(f)):
+            if not d <= 1e-10 * max(1.0, l2_norm(f)):  # a NaN source fails too
                 raise ValueError(f"source {name} is not divergence free: {d:.3e}")
 
     def branches(self, requested: str = "both") -> list[str]:
@@ -355,15 +346,18 @@ def first_order_approx(phi0: VectorField, correction: VectorField,
     branch_pair(branch, None, None)  # rejects an unknown branch
     g = phi0.grid
     n = int(round(1.0 / eps))
-    base = add(phi0, correction)
-    bh = fftn(base.values)
-    sm = ifftn(bh * mult.values)
+    half = mult.values[..., : g.n[2] // 2 + 1]
+
+    def smooth_and_grad(bh):  # S_eps base and S_eps d_l base, stacked
+        sb = bh * half
+        return np.stack([sb] + [1j * g.freq_half[l] * sb for l in range(3)])
+
+    sm = spectral_map(g, add(phi0, correction).values, smooth_and_grad)
     weps = rescale_periodic(cell.Wstar, n, g)
-    psi = matvec_vals(weps.values, sm)
+    psi = matvec_vals(weps.values, sm[0])
     for l in range(3):
-        dl = ifftn(bh * mult.values * g.freq_deriv[l])  # S_eps D_l base
         lam = rescale_periodic(correctors.Lambda[l], n, g)
-        psi = psi + eps * matvec_vals(lam.values, dl)
+        psi = psi + eps * matvec_vals(lam.values, -1j * sm[1 + l])  # D_l = -i d_l
     return VectorField(g, psi)
 
 

@@ -60,9 +60,12 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
 
     apply_op / apply_prec map arrays of b's shape to arrays of that shape;
     apply_prec realizes M^-1.  Raises :class:`NoConvergence` after `maxiter`
-    iterations.
+    iterations, and at once on a non-finite source or residual.
     """
+    where = f"{context}: " if context else ""
     bnorm2 = _dot(b, b)
+    if not np.isfinite(bnorm2):
+        raise NoConvergence(0, bnorm2, where + "non-finite source")
     if bnorm2 == 0.0:
         return np.zeros_like(b), SolveInfo(0, 0.0)
 
@@ -78,7 +81,6 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
         ap = apply_op(p)
         pap = _dot(p, ap)
         if pap <= 0:  # breakdown: the operator is not positive definite
-            where = f"{context}: " if context else ""
             raise NoConvergence(it, rel, where + "indefinite operator")
         alpha = rz / pap
         x += alpha * p
@@ -86,6 +88,8 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
         z = apply_prec(r)
         rz_new = _dot(r, z)
         it += 1
+        if not np.isfinite(rz_new):  # a NaN pap or operator output lands here too
+            raise NoConvergence(it, rz_new, where + "non-finite residual")
         rel = np.sqrt(max(rz_new, 0.0) / rz0)
         if rel <= tol:
             return x, SolveInfo(it, rel)

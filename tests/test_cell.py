@@ -349,3 +349,19 @@ def test_pcg_breakdown_names_the_indefinite_operator():
         pcg(lambda p: -p, np.ones(8), lambda r: r, 1e-9, 10, context="scalar cell j=0")
     msg = str(exc.value)
     assert msg.startswith("scalar cell j=0: indefinite operator")
+
+
+def test_pcg_stops_at_once_on_a_nan_source():
+    from maxhom.solvers import pcg
+    calls = []
+
+    def op(p):
+        calls.append(1)
+        return p
+
+    b = np.ones(8)
+    b[3] = np.nan
+    with pytest.raises(NoConvergence) as exc:
+        pcg(op, b, lambda r: r, 1e-9, 20000, context="scalar cell j=0")
+    assert "non-finite" in str(exc.value)
+    assert len(calls) <= 1

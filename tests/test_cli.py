@@ -386,3 +386,29 @@ def test_malformed_coefficient_parameters_exit_2(tmp_path, capsys, coefficient):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "Traceback" not in err
+
+
+def test_huge_source_decay_exits_2_at_once(tmp_path, capsys):
+    import time
+    text = TRIG_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "source_decay = 0.5", "source_decay = 1e200")
+    t0 = time.perf_counter()
+    code = main(["maxwell", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert "source decay" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_workers_below_one_exit_2(tmp_path, capsys, via_flag):
+    text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8")
+    if not via_flag:
+        text = text.replace("workers = 1", "workers = 0")
+    argv = ["cell", "--config", str(write_config(tmp_path, text)),
+            "--out", str(tmp_path / "o")]
+    code = main(argv + (["--workers", "0"] if via_flag else []))
+    assert code == EXIT_CONFIG
+    assert "workers" in capsys.readouterr().err

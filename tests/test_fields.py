@@ -408,3 +408,38 @@ def test_projection_smoothing_potentials_match_c2c_reference(skew_grid, kind):
     for got, ref in pairs:
         assert np.iscomplexobj(got) == (kind == "complex")
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_power_vals_serves_only_the_stored_powers(grid16):
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    for p in (0.5, -0.5, -1.0, -1):
+        assert coef.power_vals(p).shape == (3, 3) + grid16.n
+    with pytest.raises(ValueError):
+        coef.power_vals(2.0)
+
+
+def test_rescaled_coefficient_arrays_contiguous_and_read_only(grid16):
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    got = coef.rescaled(4, grid16)
+    for vals in (got.values, *(got.power_vals(p) for p in (0.5, -0.5, -1.0))):
+        assert vals.dtype == np.float64 and vals.flags.c_contiguous
+        with pytest.raises(ValueError):
+            vals[0, 0, 0, 0, 0] = 1.0
+
+
+def test_rescaled_coefficient_only_gathers(grid16, monkeypatch):
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    ref = F.CoefficientField(F.rescale_periodic(coef.matrix, 2, grid16))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rescaling evaluated or checked the coefficient again")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(F.CoefficientField, "__post_init__", forbidden)
+    got = coef.rescaled(2, grid16)
+    for p in (0.5, -0.5, -1.0):
+        assert np.array_equal(got.power_vals(p), ref.power_vals(p))
+    assert (got.ess_lower, got.ess_upper) == (ref.ess_lower, ref.ess_upper)

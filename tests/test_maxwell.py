@@ -742,3 +742,40 @@ def test_cg_iterations_match_c2c_reference(matrix_problem16, monkeypatch):
     op, prec = elliptic(A)
     _, rinfo = pcg(op, -div(mv(a_s, mv(a_s, y))), prec, 1e-4, 1000)
     close(roles["constraint repair"], rinfo.iterations)
+
+
+def test_first_order_approx_complex_base_matches_c2c(grid16):
+    # a base that is not i times a real field goes through the same
+    # half-spectrum path, by linearity
+    eta = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_isotropic",
+                                 {"base": 2.0, "amplitude": 1.0, "axis": 0}),
+        grid16)
+    mu = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_isotropic",
+                                 {"base": 3.0, "amplitude": 1.2, "axis": 1}),
+        grid16)
+    ce = mh.solve_scalar_cell(eta, tol=1e-10)
+    cm = mh.solve_scalar_cell(mu, tol=1e-10)
+    cs = mh.solve_vector_cell(ce, cm, "r", tol=1e-9, check_identities=False)
+    phi0 = random_band_vector(grid16, 3, 62)
+    rho = F.VectorField(grid16, 1j * random_band_vector(grid16, 3, 63).values)
+    mult = steklov_multiplier(grid16.lattice, grid16, 1.0)
+    psi = mh.first_order_approx(phi0, rho, cm, cs, mult, 1.0, "r")
+    base = F.add(phi0, rho)
+    bh = F.fftn(base.values)
+    expect = F.matvec_vals(cm.Wstar.values, F.ifftn(bh * mult.values))
+    for l in range(3):
+        dl = F.ifftn(bh * mult.values * grid16.freq_deriv[l])
+        expect = expect + F.matvec_vals(cs.Lambda[l].values, dl)
+    assert np.max(np.abs(psi.values - expect)) < 1e-12 * max(
+        1.0, np.max(np.abs(expect)))
+
+
+def test_make_problem_rejects_a_nan_source(grid16):
+    a = mh.generate_coefficient(mh.CoefficientDescriptor("constant", {"value": 2.0}),
+                                grid16)
+    q = random_divfree_field(grid16, 3, 5)
+    q.values[0, 1, 2, 3] = np.nan
+    with pytest.raises(ValueError):
+        mh.make_problem(a, a, 2, grid16, q=q)
