@@ -55,11 +55,10 @@ from .fields import (
     VectorField,
     div_vals,
     divergence,
-    fftn,
+    gather_nodes,
     grad_norm2_mean,
     grad_vals,
     curl_vals,
-    ifftn,
     l2_norm,
     matvec_vals,
     mean,
@@ -454,7 +453,7 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
 
     # g_C = curl (-Laplace)^-1 Cb: curl g_C = Cb, div g_C = 0 (needs
     # div Cb = 0, true to solver tol)
-    g_c = curl_vals(grid, ifftn(guarded_div(fftn(Cb), grid.k2_deriv)))
+    g_c = curl_vals(grid, spectral_map(grid, Cb, lambda h: guarded_div(h, grid.k2_half)))
 
     apply_op, apply_prec = elliptic_operator(A)
     rhs = -(D.values - div_vals(grid, matvec_vals(av, g_c)))
@@ -500,22 +499,19 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
     that covers a seeded calibration set of band-limited fields at the given
     eps values, inflated by the same margin.
     """
+    from .harness import random_band_vector  # harness imports this module
     grid = cell.grid
     y2 = _opnorm_sq(cell.Y.values)
     beta1 = 2.0 * float(y2.mean()) * (1.0 + margin)
-    c_hat = max(float(np.max(np.abs(p.values))) for p in cell.potentials)
-    c_hat = max(c_hat, 1e-30)
+    c_hat = max(1e-30, *(float(np.max(np.abs(p.values))) for p in cell.potentials))
     rng = np.random.default_rng(seed)
     need = 0.0
     for eps in eps_list:
         n = int(round(1.0 / eps))
-        yeps2 = y2[rescale_index(grid, n, grid)]
+        yeps2 = gather_nodes(y2, rescale_index(grid, n, grid))
         for _ in range(n_samples):
-            u = _random_band_limited_vector(grid, max_mode, rng)
-            u2 = np.sum(np.abs(u) ** 2, axis=0)
-            lhs = float(np.mean(yeps2 * u2))
-            unorm2 = float(np.mean(u2))
-            gn2 = grad_norm2_mean(grid, u)
+            u = random_band_vector(grid, max_mode, rng, decay=1.0, zero_mean=False)
+            lhs, unorm2, gn2 = _multiplier_means(grid, yeps2, u.values)
             denom = eps * eps * c_hat * c_hat * gn2
             if denom > 0:
                 need = max(need, (lhs - beta1 * unorm2) / denom)
@@ -523,12 +519,11 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
     return MultiplierBounds(beta1=beta1, beta2=beta2, c_hat=c_hat)
 
 
-def _random_band_limited_vector(grid: GridSpec, max_mode: int, rng) -> np.ndarray:
-    spec = np.zeros((3,) + grid.n, dtype=complex)
-    sel = np.all(np.abs(grid.modes) <= max_mode, axis=0)
-    cnt = int(sel.sum())
-    spec[:, sel] = rng.standard_normal((3, cnt)) + 1j * rng.standard_normal((3, cnt))
-    return ifftn(spec).real
+def _multiplier_means(grid: GridSpec, yeps2: np.ndarray, u: np.ndarray):
+    """|Omega|^-1 times int |Y_eps|^2 |u|^2, int |u|^2 and int |grad u|^2,
+    with yeps2 the pointwise |Y_eps|^2 on the grid of u."""
+    u2 = np.sum(np.abs(u) ** 2, axis=0)
+    return float(np.mean(yeps2 * u2)), float(np.mean(u2)), grad_norm2_mean(grid, u)
 
 
 def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
@@ -544,12 +539,9 @@ def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
     if abs(eps * n - 1.0) > 1e-12:
         raise ValueError(f"eps must be 1/n, got {eps}")
     grid = u.grid
-    y2 = _opnorm_sq(Y.values)[rescale_index(Y.grid, n, grid)]
-    w = grid.cell_volume / grid.size
-    u2 = np.sum(np.abs(u.values) ** 2, axis=0)
-    lhs = float(w * np.sum(y2 * u2))
-    unorm2 = float(w * np.sum(u2))
-    gn2 = grad_norm2_mean(grid, u.values) * grid.cell_volume
+    yeps2 = gather_nodes(_opnorm_sq(Y.values), rescale_index(Y.grid, n, grid))
+    lhs, unorm2, gn2 = (float(grid.cell_volume * t)
+                        for t in _multiplier_means(grid, yeps2, u.values))
     rhs = bounds.beta1 * unorm2 + bounds.beta2 * eps * eps * bounds.c_hat**2 * gn2
     if lhs > rhs * (1.0 + 1e-10):
         raise AssertionError(

@@ -6,7 +6,7 @@ dimensionless, and the [solver] settings tol, maxiter and workers apply to
 all three commands.  Exit codes: 0 success; 1 solver failure, after which
 the command's JSON artifact holds partial: true and the failure message; 2
 malformed configuration or violated precondition (including maxiter or
-workers < 1, a source_decay whose mode weights overflow, a non-finite
+workers < 1, a source_decay whose source overflows, a non-finite
 coefficient sample, and a coefficient eigenvalue below the floor).  With
 first_order, maxwell_run.json holds the vector-cell diagnostics of each
 branch under "correctors".  All randomness is seeded from the configuration,

@@ -16,13 +16,13 @@ multiplier there, and ``irfftn`` back.  Real input gives real output at about
 half the cost of the complex transform pair; complex input is mapped by
 linearity, as re + i im, which costs about one complex pass.  ``fftn`` and
 ``ifftn`` (complex-to-complex) remain where a full spectrum is used: spectrum
-resizing (de-aliasing), random-field synthesis, the corrector
-reconstruction (complex input), ``grad_norm2_mean``, ``brute``.
+resizing (de-aliasing), random-field synthesis, ``grad_norm2_mean``,
+``brute``.
 
 Coefficients are real: :class:`CoefficientField` stores its samples and
 its three matrix functions (powers 1/2, -1/2, -1) once, as read-only float64
 arrays, and builds :class:`MatrixField` views of them on demand; a rescaled
-coefficient gathers those arrays by index and evaluates nothing.
+coefficient gathers those arrays through one index map and evaluates nothing.
 
 curl is realized through the representation curl = sum_j b_j D_j with the
 constant antisymmetric matrices b_j, i.e. mode-wise as i k x (.), and shares
@@ -325,16 +325,18 @@ def scale(a: Field, c) -> Field:
     return a._like(a.values * c, real=a.real and np.isreal(c))
 
 
-def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> tuple:
+def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> np.ndarray:
     """Index map of x -> f(x / eps), eps = 1/n_periods, from a cell grid to a
-    commensurate torus grid: `vals[..., *index]` samples cell data `vals` on
-    the torus nodes.
+    commensurate torus grid: flat row-major cell node indices, of shape
+    `torus.n`, that :func:`gather_nodes` reads cell data through.
 
-    Torus node j maps to the cell fractional coordinate
-    n_periods * (j / N_t - 1/2) mod 1, which must land on a cell node; this
-    holds whenever n_periods * N_cell is a multiple of N_torus per axis
-    (in the common equal-resolution case: n_periods divides N).
+    Torus node j maps to the cell fractional coordinate n_periods * (j / N_t
+    - 1/2) mod 1, which must land on a cell node (on equal grids it does for
+    every n_periods >= 1).  That n_periods divides N, the band-limit rule of
+    an eps-problem, is checked in `MaxwellProblem` and `eps_periods`.
     """
+    if n_periods < 1:
+        raise GridMismatch(f"period count must be >= 1, got {n_periods}")
     if not np.allclose(torus.lattice.basis, cell.lattice.basis):
         raise GridMismatch("torus and cell grids use different lattices")
     idx = []
@@ -349,13 +351,19 @@ def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> tuple:
                 f"grid {nt} from cell grid {nc}"
             )
         idx.append((num // nt + (nc * (1 - n_periods)) // 2) % nc)
-    return idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]
+    return np.ravel_multi_index(np.ix_(*idx), cell.n)
+
+
+def gather_nodes(vals: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Samples `vals` (..., cell nodes) read at the flat node `index` of
+    :func:`rescale_index`: one contiguous copy of shape (...,) + index.shape."""
+    return np.take(vals.reshape(vals.shape[:-3] + (-1,)), index, axis=-1)
 
 
 def rescale_periodic(f: Field, n_periods: int, torus: GridSpec) -> Field:
     """Exact nodal samples of x -> f(x / eps), eps = 1/n_periods, on a torus
     grid commensurate with the cell grid of f (see :func:`rescale_index`)."""
-    vals = f.values[(Ellipsis,) + rescale_index(f.grid, n_periods, torus)]
+    vals = gather_nodes(f.values, rescale_index(f.grid, n_periods, torus))
     return type(f)(torus, vals, real=f.real)
 
 
@@ -400,28 +408,27 @@ class CoefficientField:
         if w.min() < _EIG_FLOOR:  # before any power: w**-0.5 of a negative w is NaN
             raise SingularPoint(
                 f"coefficient eigenvalue {w.min():.3e} below floor {_EIG_FLOOR}")
-        self._store(samples.grid, w, [vals] + [np.ascontiguousarray(np.moveaxis(
+        eig = np.ascontiguousarray(np.moveaxis(w, -1, 0))  # component-first, like the rest
+        self._store(samples.grid, [vals, eig] + [np.ascontiguousarray(np.moveaxis(
             (v * (w**p)[..., None, :]) @ np.swapaxes(v, -1, -2), (-2, -1), (0, 1)))
             for p in self.POWERS])
 
-    def _store(self, grid: GridSpec, eigvals: np.ndarray, arrays: list) -> None:
-        """`arrays`: the samples, then the matrix functions of `POWERS`."""
+    def _store(self, grid: GridSpec, arrays: list) -> None:
+        """`arrays`: samples, per-node eigenvalues (3, n), `POWERS` functions."""
         for arr in arrays:
             arr.setflags(write=False)
-        self.grid, self.values, self._eigvals = grid, arrays[0], eigvals
-        self.ess_lower, self.ess_upper = float(eigvals.min()), float(eigvals.max())
-        self._powers = dict(zip(self.POWERS, arrays[1:]))
+        self.grid, self.values, self._eigvals = grid, arrays[0], arrays[1]
+        self.ess_lower, self.ess_upper = float(arrays[1].min()), float(arrays[1].max())
+        self._powers = dict(zip(self.POWERS, arrays[2:]))
 
     def rescaled(self, n_periods: int, torus: GridSpec) -> "CoefficientField":
         """x -> a(x / eps), eps = 1/n_periods, on a commensurate torus grid:
-        every stored array gathered through :func:`rescale_index`, one
-        contiguous copy each; a subset of checked data is not checked again."""
-        idx = rescale_index(self.grid, n_periods, torus)
-        flat = np.ravel_multi_index(np.broadcast_arrays(*idx), self.grid.n)
+        every stored array gathered through one :func:`rescale_index` map;
+        a subset of checked data is not checked again."""
+        index = rescale_index(self.grid, n_periods, torus)
         out = object.__new__(CoefficientField)
-        out._store(torus, np.take(self._eigvals.reshape(-1, 3), flat, axis=0),
-                   [np.take(m.reshape(3, 3, -1), flat, axis=-1)
-                    for m in (self.values, *self._powers.values())])
+        out._store(torus, [gather_nodes(arr, index) for arr in
+                           (self.values, self._eigvals, *self._powers.values())])
         return out
 
     @property

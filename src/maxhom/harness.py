@@ -230,22 +230,23 @@ def layered_oracle_smoothed(alpha: float, beta: float, fill: float,
 
 def random_band_vector(grid: GridSpec, max_mode: int, seed: int,
                        decay: float = 0.5, zero_mean: bool = True) -> VectorField:
-    """Real band-limited random vector field with geometrically decaying modes."""
-    with np.errstate(all="ignore"):  # checked here, before any array is built
-        top = np.float64(abs(decay)) ** (3 * max_mode)  # the largest mode weight
-    if not np.isfinite(top):
-        raise InvalidParams(f"source decay {decay} gives a mode weight that is not a "
-                            f"finite float (max_mode {max_mode})")
+    """Real band-limited random vector field with geometrically decaying modes;
+    `seed` is an integer or a numpy Generator, which is drawn from as it is."""
     rng = np.random.default_rng(seed)
     spec = np.zeros((3,) + grid.n, dtype=complex)
     sel = np.max(np.abs(grid.modes), axis=0) <= max_mode
     if zero_mean:
         sel &= np.max(np.abs(grid.modes), axis=0) > 0
     cnt = int(sel.sum())
-    w = decay ** np.sum(np.abs(grid.modes), axis=0)[sel]
-    spec[:, sel] = (rng.standard_normal((3, cnt))
-                    + 1j * rng.standard_normal((3, cnt))) * w
-    vals = ifftn(spec).real * grid.size
+    with np.errstate(over="ignore"):  # an overflow is reported below, as bad input
+        w = decay ** np.sum(np.abs(grid.modes), axis=0)[sel]
+        spec[:, sel] = (rng.standard_normal((3, cnt))
+                        + 1j * rng.standard_normal((3, cnt))) * w
+        vals = ifftn(spec).real * grid.size
+        norm2 = np.sum(vals * vals)
+    if not np.isfinite(norm2):
+        raise InvalidParams(f"source decay {decay} gives a field whose norm is not a "
+                            f"finite float (max_mode {max_mode})")
     return VectorField(grid, vals, real=True)
 
 

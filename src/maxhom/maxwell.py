@@ -65,9 +65,9 @@ from .fields import (
     sub,
 )
 from .lattice import GridSpec
-from .operators import (apply_sym, apply_symbol, curl_curl_symbol, elliptic_operator,
-                        guarded_div, matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse,
-                        symbol_layout)
+from .operators import (apply_sym, apply_symbol, elliptic_operator, guarded_div,
+                        matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
+from .operators import cross_symbol_inverse as _cross_symbol_inverse
 from .smoothing import SteklovMultiplier, steklov_apply, steklov_multiplier
 from .solvers import NoConvergence, pcg, validate_tol
 
@@ -182,14 +182,6 @@ def symmetrized_rhs(problem: MaxwellProblem, branch: str) -> VectorField:
     A, _, src = _branch_coeffs(problem, branch)
     vals = 1j * matvec_vals(A.power_vals(-0.5), src.values)
     return VectorField(problem.torus, vals)
-
-
-def _cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:
-    """Mode-wise inverse of [k]x^T B0^{-1} [k]x + A0 on the half spectrum
-    (the first-order-form preconditioner; invertible at every mode since A0
-    is SPD), in the layout :func:`~maxhom.operators.apply_symbol` takes."""
-    return symbol_layout(np.linalg.inv(curl_curl_symbol(grid, b0)
-                                       + np.asarray(a0, dtype=float)))
 
 
 def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,

@@ -140,6 +140,14 @@ def sym_symbol_inverse(grid: GridSpec, a0, b0, shift: float = 0.0) -> np.ndarray
     return symbol_layout(out)
 
 
+def cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:
+    """Mode-wise inverse of [k]x^T B0^{-1} [k]x + A0 on the half spectrum
+    (the first-order-form preconditioner; invertible at every mode since A0
+    is SPD), in the layout :func:`apply_symbol` takes."""
+    return symbol_layout(np.linalg.inv(curl_curl_symbol(grid, b0)
+                                       + np.asarray(a0, dtype=float)))
+
+
 def apply_symbol(grid: GridSpec, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply a half-spectrum (3, 3) multiplier (3, 3, n1, n2, n3//2 + 1) to a
     vector-valued array (3, n)."""

@@ -365,3 +365,37 @@ def test_pcg_stops_at_once_on_a_nan_source():
         pcg(op, b, lambda r: r, 1e-9, 20000, context="scalar cell j=0")
     assert "non-finite" in str(exc.value)
     assert len(calls) <= 1
+
+
+def test_multiplier_bounds_match_inline_reference(cell_matrix_eta):
+    # the calibration written out with its own band-limited generator and
+    # index gather; the program draws through harness.random_band_vector
+    import scipy.fft as sfft
+    from maxhom.cell import _opnorm_sq
+    cell, eps_list, n_samples, margin = cell_matrix_eta, [0.5, 0.25, 0.125], 6, -0.7
+    grid = cell.grid
+    got = mh.estimate_multiplier_bounds(cell, eps_list, n_samples, seed=4,
+                                        max_mode=4, margin=margin)
+    y2 = _opnorm_sq(cell.Y.values)
+    beta1 = 2.0 * float(y2.mean()) * (1.0 + margin)
+    c_hat = max(float(np.max(np.abs(p.values))) for p in cell.potentials)
+    rng = np.random.default_rng(4)
+    sel = np.all(np.abs(grid.modes) <= 4, axis=0)
+    cnt = int(sel.sum())
+    need = 0.0
+    for eps in eps_list:
+        n = int(round(1.0 / eps))
+        idx = [(n * np.arange(nk) + nk * (1 - n) // 2) % nk for nk in grid.n]
+        yeps2 = y2[idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]]
+        for _ in range(n_samples):
+            spec = np.zeros((3,) + grid.n, dtype=complex)
+            spec[:, sel] = rng.standard_normal((3, cnt)) + 1j * rng.standard_normal((3, cnt))
+            u = sfft.ifftn(spec, axes=(-3, -2, -1)).real
+            u2 = np.sum(u * u, axis=0)
+            vh = sfft.fftn(u, axes=(-3, -2, -1)) / grid.size
+            gn2 = float(np.sum(grid.k2_deriv * np.abs(vh) ** 2))
+            lhs, unorm2 = float(np.mean(yeps2 * u2)), float(np.mean(u2))
+            need = max(need, (lhs - beta1 * unorm2) / (eps * eps * c_hat * c_hat * gn2))
+    assert need > 0  # beta2 is fit, not floored at zero
+    assert (got.beta1, got.c_hat) == (beta1, c_hat)
+    assert got.beta2 == need * (1.0 + margin)

@@ -412,3 +412,22 @@ def test_workers_below_one_exit_2(tmp_path, capsys, via_flag):
     code = main(argv + (["--workers", "0"] if via_flag else []))
     assert code == EXIT_CONFIG
     assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("decay", ["1e13", "1e25"])
+def test_overflowing_source_norm_exits_2_without_warning(tmp_path, decay):
+    # the mode weights are finite floats, the source's norm is not
+    import os
+    import subprocess
+    import sys
+    import maxhom
+    text = TRIG_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "eps = 0.25", "eps = 0.5").replace("source_decay = 0.5", f"source_decay = {decay}")
+    env = dict(os.environ, PYTHONPATH=str(Path(maxhom.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "maxhom.cli", "maxwell", "--config",
+         str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert run.returncode == EXIT_CONFIG
+    assert run.stderr.startswith("config error")
+    assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr

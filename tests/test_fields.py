@@ -443,3 +443,34 @@ def test_rescaled_coefficient_only_gathers(grid16, monkeypatch):
     for p in (0.5, -0.5, -1.0):
         assert np.array_equal(got.power_vals(p), ref.power_vals(p))
     assert (got.ess_lower, got.ess_upper) == (ref.ess_lower, ref.ess_upper)
+
+
+def _fancy_rescale(vals, n, shape):
+    # x -> f(x / eps) on equal grids: torus node j (fractional j/N - 1/2) reads
+    # the cell node m with m/N - 1/2 = n (j/N - 1/2) mod 1
+    idx = [np.rint((n * (np.arange(nk) / nk - 0.5) + 0.5) * nk).astype(int) % nk
+           for nk in shape]
+    return vals[..., idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]]
+
+
+@pytest.mark.parametrize("shape,n", [((16, 16, 16), 1), ((16, 16, 16), 2),
+                                     ((16, 16, 16), 3), ((8, 6, 10), 2)])
+def test_rescale_periodic_is_one_contiguous_gather(cubic, shape, n):
+    grid = mh.GridSpec(shape, cubic)
+    rng = np.random.default_rng(n + shape[1])
+    for cls in (F.ScalarField, F.VectorField, F.MatrixField):
+        f = cls(grid, rng.standard_normal(cls.RANK_SHAPE + shape), real=True)
+        got = F.rescale_periodic(f, n, grid)
+        assert type(got) is cls and got.values.flags.c_contiguous
+        assert np.array_equal(got.values, _fancy_rescale(f.values, n, shape))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_period_count_below_one_rejected(grid16, n):
+    f = random_band_scalar(grid16, 4, 3)
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=5), grid16)
+    with pytest.raises(ValueError, match="period count"):
+        F.rescale_periodic(f, n, grid16)
+    with pytest.raises(ValueError, match="period count"):
+        coef.rescaled(n, grid16)
