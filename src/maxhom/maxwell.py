@@ -36,7 +36,9 @@ with D_l = -i d_l.  Physical fields are reconstructed from phi via
 
 and the four first-order approximants are (1 + Y_eta^eps)(u0 + u_hat),
 (1 + G_eta^eps)(w0 + w_hat), (1 + Y_mu^eps)(v0 + v_hat),
-(1 + G_mu^eps)(z0 + z_hat).
+(1 + G_mu^eps)(z0 + z_hat).  For real sources each field is i times a real
+field: run_maxwell carries them divided by i, through linear helpers that keep
+the dtype, and applies the factor i once, where it returns.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .fields import (
     mean,
     rescale_periodic,
     spectral_map,
-    sub,
 )
 from .lattice import GridSpec
 from .operators import (apply_sym, apply_symbol, elliptic_operator, guarded_div,
@@ -248,7 +249,8 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
             iterations += pinfo.iterations
             phi_vals = phi_vals - matvec_vals(a_sqrt, grad_vals(g, p))
         res = apply_sym(g, a_sqrt, a_isqrt, b_inv, phi_vals, shift=1.0) - s
-        rel = float(np.sqrt(np.sum(np.abs(res) ** 2) / np.sum(np.abs(s) ** 2)))
+        rel = (float(np.sqrt(np.sum(np.abs(res) ** 2) / np.sum(np.abs(s) ** 2)))
+               if snorm else 0.0)  # a zero source solves to phi = 0
         if rel <= tol:
             break
         inner_tol *= 1e-2
@@ -290,19 +292,16 @@ def _fields_from_phi(g: GridSpec, phi_vals: np.ndarray, branch: str,
     """u, v, w, z from phi, with A the main coefficient of the branch and B
     the other one; `apply(m, x)` applies a matrix coefficient to an array.
 
-    The map is linear and the pipeline's phi is i times a real field, so it
-    runs on phi / i (in real arithmetic when that is exactly real) and
-    applies i to the four results."""
-    p = -1j * phi_vals
-    p = p if np.any(p.imag) else p.real
-    x = apply(a_isqrt, p)
-    y = apply(a_sqrt, p)
+    The map is linear and keeps the dtype: run_maxwell passes phi / i, a
+    real array for real sources, and applies the factor i where it returns."""
+    x = apply(a_isqrt, phi_vals)
+    y = apply(a_sqrt, phi_vals)
     c = curl_vals(g, x) if branch == "r" else -curl_vals(g, x)
     d = apply(b_inv, c)
     # r: v = A^{-1/2} phi, z = A^{1/2} phi, w = curl v, u = B^{-1} w
     # q: u = A^{-1/2} phi, w = A^{1/2} phi, z = -curl u, v = B^{-1} z
     u, v, w, z = (d, x, c, y) if branch == "r" else (x, d, y, c)
-    return {n: VectorField(g, 1j * f) for n, f in zip("uvwz", (u, v, w, z))}
+    return {n: VectorField(g, f) for n, f in zip("uvwz", (u, v, w, z))}
 
 
 def reconstruct_fields(phi: VectorField, problem: MaxwellProblem,
@@ -386,7 +385,6 @@ class MaxwellSolution:
     phi: dict
     phi0: dict
     correction_phi: dict
-    rhs_eps: dict
     psi: dict
     fields: dict          # u, v, w, z at the eps level (branch sum)
     eff_fields: dict      # u0, v0, w0, z0
@@ -400,6 +398,11 @@ class MaxwellSolution:
         """|mean| of each correction field (weak-convergence proxy)."""
         return {n: float(np.linalg.norm(mean(f)))
                 for n, f in self.corr_fields.items()}
+
+
+def _times_i(fields: dict) -> dict:
+    """The returned values: i times the fields / i that run_maxwell carries."""
+    return {n: VectorField(f.grid, 1j * f.values) for n, f in fields.items()}
 
 
 def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
@@ -422,35 +425,31 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
     if not branches:
         raise BranchError("no source present for the requested branch")
 
-    zero = lambda: VectorField(g, np.zeros((3,) + g.n, dtype=complex))
-    totals = {n: zero() for n in ("u", "v", "w", "z")}
-    eff_totals = {n: zero() for n in ("u", "v", "w", "z")}
-    corr_totals = {n: zero() for n in ("u", "v", "w", "z")}
-    phi, phi0, corr_phi, psi, rhs_eps = {}, {}, {}, {}, {}
+    # every field below but phi is held divided by i (see the module docstring)
+    totals, eff_totals, corr_totals = {}, {}, {}  # branch sums of u, v, w, z
+    phi, phi0, corr_phi, psi = {}, {}, {}, {}
     diagnostics = {"regime": TORUS_REGIME_NOTE, "eps": problem.eps,
                    "tol": tol, "per_branch": {}}
 
     for b in branches:
-        phi_b, diag = solve_symmetrized(problem, b, tol=tol, maxiter=maxiter)
-        phi[b] = phi_b
+        phi[b], diag = solve_symmetrized(problem, b, tol=tol, maxiter=maxiter)
         m0, h0 = branch_pair(b, eta0, mu0)
         src = branch_pair(b, problem.q, problem.r)[0]
-        ceps = rhs_eps[b] = branch_pair(b, q_eps, r_eps)[0]
+        ceps = branch_pair(b, q_eps, r_eps)[0]
+        # x = phi / i, exactly the imaginary part of phi for a real source
+        x = VectorField(g, phi[b].values.imag if np.isrealobj(src.values)
+                        else -1j * phi[b].values)
         m0_is = matrix_inv_sqrt(m0)
-        # one mode-wise symbol inverse serves both constant-coefficient
-        # solves; their sources i m0^{-1/2} (src | ceps) are i times real
-        # fields, so each solve runs in real arithmetic and applies i once
+        # one symbol inverse serves both constant solves, phi0 / i and corr / i
         inv = sym_symbol_inverse(g, m0, h0, shift=1.0)
-        phi0[b], corr_phi[b] = (VectorField(g, 1j * apply_symbol(
+        phi0[b], corr_phi[b] = (VectorField(g, apply_symbol(
             g, inv, const_matvec_vals(m0_is, f.values))) for f in (src, ceps))
 
-        fb = reconstruct_fields(phi_b, problem, b)
-        f0 = effective_level_fields(phi0[b], eta0, mu0, b)
-        fc = effective_level_fields(corr_phi[b], eta0, mu0, b)
-        for n in totals:
-            totals[n] = add(totals[n], fb[n])
-            eff_totals[n] = add(eff_totals[n], f0[n])
-            corr_totals[n] = add(corr_totals[n], fc[n])
+        for sums, fs in ((totals, reconstruct_fields(x, problem, b)),
+                         (eff_totals, effective_level_fields(phi0[b], eta0, mu0, b)),
+                         (corr_totals, effective_level_fields(corr_phi[b], eta0, mu0, b))):
+            for n, f in fs.items():
+                sums[n] = VectorField(g, sums[n].values + f.values) if n in sums else f
 
         # correction source norm contract: ||c_eps|| <= ||a|| ||a^-1|| ||src||
         sup, sup_inv = branch_pair(b, problem.eta, problem.mu)[0].sup_norms()
@@ -460,30 +459,28 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
             psi[b] = first_order_approx(phi0[b], corr_phi[b],
                                         branch_pair(b, cell_eta, cell_mu)[0],
                                         correctors[b], mult, problem.eps, b)
-            diag["psi_error"] = l2_norm(sub(phi_b, psi[b]))
-            diag["psi_rel_error"] = diag["psi_error"] / max(l2_norm(phi_b), 1e-300)
+            diag["psi_error"] = l2_norm_vals(g, x.values - psi[b].values)
+            diag["psi_rel_error"] = diag["psi_error"] / max(l2_norm(x), 1e-300)
         diagnostics["per_branch"][b] = diag
 
     approx = approximant_fields(eff_totals, corr_totals, cell_eta, cell_mu,
                                 problem.n_periods, g)
     errors, rel_errors = {}, {}
-    for n in totals:
-        e = l2_norm(sub(totals[n], approx[n]))
-        errors[n] = e
-        rel_errors[n] = e / max(l2_norm(totals[n]), 1e-300)
+    for n, f in totals.items():
+        errors[n] = l2_norm_vals(g, f.values - approx[n].values)
+        rel_errors[n] = errors[n] / max(l2_norm(f), 1e-300)
 
     return MaxwellSolution(
         problem=problem,
         branches=branches,
         phi=phi,
-        phi0=phi0,
-        correction_phi=corr_phi,
-        rhs_eps=rhs_eps,
-        psi=psi,
-        fields=totals,
-        eff_fields=eff_totals,
-        corr_fields=corr_totals,
-        approximants=approx,
+        phi0=_times_i(phi0),
+        correction_phi=_times_i(corr_phi),
+        psi=_times_i(psi),
+        fields=_times_i(totals),
+        eff_fields=_times_i(eff_totals),
+        corr_fields=_times_i(corr_totals),
+        approximants=_times_i(approx),
         errors=errors,
         rel_errors=rel_errors,
         diagnostics=diagnostics,

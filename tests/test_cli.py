@@ -431,3 +431,24 @@ def test_overflowing_source_norm_exits_2_without_warning(tmp_path, decay):
     assert run.returncode == EXIT_CONFIG
     assert run.stderr.startswith("config error")
     assert "Traceback" not in run.stderr and "RuntimeWarning" not in run.stderr
+
+
+@pytest.mark.parametrize("command", ["maxwell", "converge"])
+def test_zero_source_exits_0_without_warning(tmp_path, command):
+    # source_decay = 0 weights every source mode by zero
+    import os
+    import subprocess
+    import sys
+    import maxhom
+    text = TRIG_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "source_decay = 0.5", "source_decay = 0")
+    env = dict(os.environ, PYTHONPATH=str(Path(maxhom.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "maxhom.cli", command, "--config",
+         str(write_config(tmp_path, text)), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    if command == "converge":
+        report = json.loads((tmp_path / "o" / "converge.json").read_text())
+        assert all(e == [0.0, 0.0, 0.0] for e in report["errors"].values())

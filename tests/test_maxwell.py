@@ -779,3 +779,77 @@ def test_make_problem_rejects_a_nan_source(grid16):
     q.values[0, 1, 2, 3] = np.nan
     with pytest.raises(ValueError):
         mh.make_problem(a, a, 2, grid16, q=q)
+
+
+# ---------------------------------------------------------------------------
+# the factor i at the public API, the error norms, and the zero source
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def real_source_solution(grid16, trig_eta, trig_mu, cell_eta, cell_mu,
+                         correctors_r):
+    q = random_divfree_field(grid16, 4, 71)
+    r = random_divfree_field(grid16, 4, 72)
+    prob = mh.make_problem(trig_eta, trig_mu, 2, grid16, q=q, r=r)
+    return mh.run_maxwell(prob, cell_eta, cell_mu, branch="both", tol=1e-10,
+                          correctors={"r": correctors_r})
+
+
+def test_run_maxwell_values_are_i_times_real(real_source_solution):
+    sol = real_source_solution
+    for name in ("phi0", "correction_phi", "psi", "fields", "eff_fields",
+                 "corr_fields", "approximants"):
+        values = getattr(sol, name)
+        assert values, name
+        for key, f in values.items():
+            assert np.all(f.values.real == 0.0), (name, key)
+            assert np.max(np.abs(f.values.imag)) > 0.0, (name, key)
+
+
+def test_run_maxwell_errors_match_the_field_api(real_source_solution):
+    sol = real_source_solution
+    for n, f in sol.fields.items():
+        e = F.l2_norm(F.sub(f, sol.approximants[n]))
+        assert abs(sol.errors[n] - e) <= 1e-15 * e
+    e = F.l2_norm(F.sub(sol.phi["r"], sol.psi["r"]))
+    assert abs(sol.diagnostics["per_branch"]["r"]["psi_error"] - e) <= 1e-15 * e
+
+
+def _assert_times_i(got: F.VectorField, base: F.VectorField):
+    expect = 1j * base.values
+    assert np.max(np.abs(got.values - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_field_helpers_commute_with_the_factor_i(grid16, trig_eta, trig_mu,
+                                                cell_eta, cell_mu,
+                                                correctors_r, kind):
+    x = random_band_vector(grid16, 4, 73).values
+    y = random_band_vector(grid16, 4, 74).values
+    if kind == "complex":
+        x, y = x + 1j * y, y - 0.5j * x
+    prob = mh.make_problem(trig_eta, trig_mu, 2, grid16)
+    for branch in ("r", "q"):
+        for helper in (lambda f: mh.reconstruct_fields(f, prob, branch),
+                       lambda f: effective_level_fields(
+                           f, cell_eta.effective, cell_mu.effective, branch)):
+            got = helper(F.VectorField(grid16, 1j * x))
+            base = helper(F.VectorField(grid16, x))
+            for n in "uvwz":
+                _assert_times_i(got[n], base[n])
+    mult = steklov_multiplier(grid16.lattice, grid16, 0.5)
+    got, base = (mh.first_order_approx(F.VectorField(grid16, c * x),
+                                       F.VectorField(grid16, c * y), cell_mu,
+                                       correctors_r, mult, 0.5, "r")
+                 for c in (1j, 1.0))
+    _assert_times_i(got, base)
+
+
+def test_zero_source_solves_to_zero(grid16, trig_eta, trig_mu):
+    # the tier-1 filter turns a 0/0 in the residual check into an error
+    q = F.VectorField(grid16, np.zeros((3,) + grid16.n))
+    prob = mh.make_problem(trig_eta, trig_mu, 2, grid16, q=q)
+    phi, diag = mh.solve_symmetrized(prob, "q", tol=1e-9)
+    assert np.all(phi.values == 0.0)
+    assert diag["true_residual"] == 0.0
