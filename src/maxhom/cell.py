@@ -69,8 +69,8 @@ from .fields import (
     arithmetic_mean_matrix,
 )
 from .lattice import GridSpec
-from .operators import (apply_sym, apply_symbol, elliptic_operator, guarded_div,
-                        matrix_inv_sqrt, matrix_sqrt, sym_symbol_inverse)
+from .operators import (elliptic_operator, guarded_div, matrix_inv_sqrt, matrix_sqrt,
+                        vector_cell_operator)
 from .solvers import pcg, validate_tol
 
 _EYE3 = np.eye(3)
@@ -92,7 +92,6 @@ class CellSolution:
     effective: np.ndarray
     G: MatrixField
     Wstar: MatrixField
-    residual_norm: float
     residuals: np.ndarray
     iterations: tuple
     effective_asymmetry: float
@@ -148,7 +147,6 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
         effective=effective,
         G=G,
         Wstar=Wstar,
-        residual_norm=float(residuals.max(initial=0.0)),
         residuals=residuals,
         iterations=tuple(inf.iterations for inf in infos),
         effective_asymmetry=asym,
@@ -331,19 +329,8 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
     # constants, every f_lj vanishes and no solve runs
     if not (_is_constant(A) and _is_constant(B)
             and np.max(np.abs(a_cell.Y.values)) == 0.0):
-        a_sqrt = A.power_vals(0.5)
-        a_isqrt = A.power_vals(-0.5)
-        b_inv = B.power_vals(-1.0)
-        prec_inv = sym_symbol_inverse(grid, A.mean_matrix(), B.mean_matrix(),
-                                      shift=0.0)
-
-        def apply_op(f):
-            out = apply_sym(grid, a_sqrt, a_isqrt, b_inv, f, shift=0.0)
-            return out - out.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
-
-        def apply_prec(r):
-            return apply_symbol(grid, prec_inv, r)
-
+        a_sqrt, a_isqrt, b_inv = A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0)
+        apply_op, apply_prec = vector_cell_operator(A, B)
         # the sources are i times real fields: solve for f_lj / i in real
         # arithmetic and apply the factor i to the result
         for l in range(3):

@@ -115,6 +115,13 @@ def _parse_floats(raw: str) -> list:
     return [float(v) for v in raw.split()]
 
 
+def _parse_basis(raw: str) -> list:
+    rows = [_parse_floats(r) for r in raw.split(";") if r.strip()]
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise ValueError("needs 3 rows of 3 numbers separated by ';'")
+    return rows
+
+
 def _parse_ints(raw: str) -> list:
     return [int(v) for v in raw.split()]
 
@@ -182,13 +189,7 @@ def parse_config(path) -> RunConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    basis_raw = _get(cp, "lattice", "basis", str)
-    rows = [r for r in basis_raw.split(";") if r.strip()]
-    if len(rows) != 3:
-        raise ConfigError(f"[lattice] basis needs 3 rows separated by ';', got {len(rows)}")
-    basis = [_parse_floats(r) for r in rows]
-    if any(len(r) != 3 for r in basis):
-        raise ConfigError("[lattice] basis rows must have 3 entries")
+    basis = _get(cp, "lattice", "basis", _parse_basis)
     grid_n = tuple(_get(cp, "grid", "n", _parse_ints))
     if len(grid_n) != 3:
         raise ConfigError("[grid] n needs three integers")
@@ -235,7 +236,10 @@ def _setup(cfg: RunConfig, out_override, workers, tol):
     grid = GridSpec(cfg.grid_n, lattice)
     fields.set_fft_workers(cfg.workers)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[output] dir {cfg.out_dir!r} cannot be made ({exc})") from None
     return out, lattice, grid
 
 

@@ -262,23 +262,20 @@ def _resize_spectrum(vals: np.ndarray, n_from, n_to) -> np.ndarray:
 def _product_values(a: np.ndarray, b: np.ndarray, spec: str) -> np.ndarray:
     if spec == "ss":
         return a * b
-    if spec == "sv" or spec == "sm":
-        return a[None] * b if spec == "sv" else a[None, None] * b
+    if spec == "sv":
+        return a[None] * b
     if spec == "mv":
         return np.einsum("ij...,j...->i...", a, b)
     if spec == "mm":
         return np.einsum("ij...,jk...->ik...", a, b)
-    if spec == "vdot":
-        return np.einsum("i...,i...->...", a, b)
     raise ValueError(f"unknown product spec {spec}")
 
 
 def pointwise(a: Field, b: Field, spec: str, dealias: bool = False) -> Field:
     """Pointwise product of two fields.
 
-    spec: "ss" scalar*scalar, "sv" scalar*vector, "sm" scalar*matrix,
-    "mv" matrix@vector, "mm" matrix@matrix, "vdot" <vector, vector>
-    (bilinear, no conjugation).
+    spec: "ss" scalar*scalar, "sv" scalar*vector, "mv" matrix@vector,
+    "mm" matrix@matrix.
 
     With dealias=True the product follows the 3/2 rule: both factors are
     padded to 3n/2 nodes per axis, multiplied there, and the result truncated
@@ -295,8 +292,8 @@ def pointwise(a: Field, b: Field, spec: str, dealias: bool = False) -> Field:
         vals = _resize_spectrum(pv, pn, g.n)
     else:
         vals = _product_values(a.values, b.values, spec)
-    cls = {"ss": ScalarField, "sv": VectorField, "sm": MatrixField,
-           "mv": VectorField, "mm": MatrixField, "vdot": ScalarField}[spec]
+    cls = {"ss": ScalarField, "sv": VectorField, "mv": VectorField,
+           "mm": MatrixField}[spec]
     return cls(g, vals, real=a.real and b.real)
 
 

@@ -68,6 +68,8 @@ def smoothed_pulse(t: np.ndarray, fill: float, width: float) -> np.ndarray:
     Sum of tanh transitions over the three nearest periods; for width <= 0.1
     the truncation error is below 1e-13.
     """
+    if not 0.0 < width < np.inf:
+        raise InvalidParams(f"smoothing width must be finite and positive: {width}")
     u = np.mod(np.asarray(t) + 0.5, 1.0) - 0.5
     out = np.zeros_like(u, dtype=float)
     for m in (-1.0, 0.0, 1.0):
@@ -137,6 +139,8 @@ def generate_coefficient(desc: CoefficientDescriptor,
         modes = _values(p.get("modes", (1, 1, 1)), 3, "trig_matrix modes", int)
         if np.any(base <= 0) or abs(amp) >= 1:
             raise InvalidParams("trig_matrix needs positive base and |amplitude| < 1")
+        if desc.seed < 0:
+            raise InvalidParams(f"trig_matrix seed must be >= 0, got {desc.seed}")
         rng = np.random.default_rng(desc.seed)
         qmat, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         phases = rng.uniform(0, 2 * np.pi, size=3)

@@ -2,10 +2,13 @@
 
 Every operator, symbol, symbol inverse and the elliptic solver of the package
 is built here, once, over the raw-array calculus of :mod:`maxhom.fields`.
-Inverses that drop the singular modes all go through :func:`guarded_div`;
-the scalar operator -div a grad and its mean-coefficient preconditioner come
-from :func:`elliptic_operator`; the curl-curl block [k]x^T B0^{-1} [k]x of
-the symbols from :func:`curl_curl_symbol`.
+Inverses that drop the singular modes go through :func:`guarded_div` or
+:func:`sym_symbol_inverse`; the curl-curl block [k]x^T B0^{-1} [k]x of the
+symbols comes from :func:`curl_curl_symbol`.  Every CG takes its (apply_op,
+apply_prec) pair, preconditioned by the exact inverse of the mean-coefficient
+symbol, from :func:`elliptic_operator` (-div a grad: scalar cell, repair),
+:func:`vector_cell_operator` (L[A, B]: vector cell) or
+:func:`first_order_operator` (curl B^{-1} curl y + A y: symmetrized torus).
 
 The second-order operator family used throughout is
 
@@ -33,6 +36,8 @@ inversions against the full spectrum.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -64,6 +69,34 @@ def elliptic_operator(a: CoefficientField):
         return spectral_map(grid, r, lambda rh: inv_pm * rh)
 
     return apply_op, apply_prec
+
+
+def vector_cell_operator(A: CoefficientField, B: CoefficientField):
+    """(apply_op, apply_prec) for L[A, B] with the mean projected out; apply_prec
+    inverts the symbol of (mean(A), mean(B)), zero at its singular modes."""
+    grid = A.grid
+    powers = A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0)
+    prec = sym_symbol_inverse(grid, A.mean_matrix(), B.mean_matrix())
+
+    def apply_op(f):
+        out = apply_sym(grid, *powers, f)
+        return out - out.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
+
+    return apply_op, partial(apply_symbol, grid, prec)
+
+
+def first_order_operator(A: CoefficientField, B: CoefficientField):
+    """(apply_op, apply_prec) for curl B^{-1} curl y + A y, the first-order form
+    of L[A, B] + 1; apply_prec inverts [k]x^T mean(B)^{-1} [k]x + mean(A)."""
+    grid = A.grid
+    a_vals, b_inv = A.values, B.power_vals(-1.0)
+    prec = cross_symbol_inverse(grid, B.mean_matrix(), A.mean_matrix())
+
+    def apply_op(y):
+        return curl_vals(grid, matvec_vals(b_inv, curl_vals(grid, y))) \
+            + matvec_vals(a_vals, y)
+
+    return apply_op, partial(apply_symbol, grid, prec)
 
 
 def apply_sym(grid: GridSpec, a_sqrt, a_isqrt, b_inv, f: np.ndarray,
@@ -133,12 +166,11 @@ def sym_symbol_inverse(grid: GridSpec, a0, b0, shift: float = 0.0) -> np.ndarray
     (3, 3, n1, n2, n3//2 + 1); with shift = 0 the singular modes (k = 0 under
     the derivative convention) are mapped to zero."""
     sym = np.moveaxis(sym_symbol(grid, a0, b0, shift=shift), (0, 1), (-2, -1))
-    if shift > 0:
-        return symbol_layout(np.linalg.inv(sym))
-    mask = grid.k2_half > 0
-    out = np.zeros_like(sym)
-    out[mask] = np.linalg.inv(sym[mask])
-    return symbol_layout(out)
+    singular = (grid.k2_half <= 0) & (shift <= 0)
+    sym[singular] = np.eye(3)
+    inv = np.linalg.inv(sym)
+    inv[singular] = 0.0
+    return symbol_layout(inv)
 
 
 def cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:

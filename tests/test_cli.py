@@ -452,3 +452,46 @@ def test_zero_source_exits_0_without_warning(tmp_path, command):
     if command == "converge":
         report = json.loads((tmp_path / "o" / "converge.json").read_text())
         assert all(e == [0.0, 0.0, 0.0] for e in report["errors"].values())
+
+
+def _bad_input(tmp_path, case):
+    # BASE_CONFIG at 8^3 with one bad input, and the text stderr must name
+    text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "dir = out", f"dir = {tmp_path / 'o'}")
+    if case == "seed":
+        return text.replace("kind = constant\nvalue = 2.0",
+                            "kind = trig_matrix\nseed = -1"), "seed"
+    if case == "basis":
+        return text.replace("0 0 1", "0 0 x"), "[lattice] basis"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return text.replace(f"dir = {tmp_path / 'o'}", f"dir = {blocker / 'o'}"), "[output] dir"
+
+
+@pytest.mark.parametrize("case", ["seed", "basis", "output_dir"])
+@pytest.mark.parametrize("command", ["cell", "maxwell", "converge"])
+def test_bad_seed_basis_or_output_dir_exit_2(tmp_path, capsys, command, case):
+    text, named = _bad_input(tmp_path, case)
+    code = main([command, "--config", str(write_config(tmp_path, text))])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("width", ["0", "-0.05", "nan"])
+@pytest.mark.parametrize("kind", ["layered_smoothed", "checkerboard_smoothed"])
+@pytest.mark.parametrize("command", ["cell", "maxwell", "converge"])
+def test_bad_smoothing_width_exit_2_without_warning(tmp_path, capsys, command, kind,
+                                                   width):
+    text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        "kind = constant\nvalue = 2.0",
+        f"kind = {kind}\nalpha = 1.0\nbeta = 3.0\nwidth = {width}")
+    code = main([command, "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "width" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err

@@ -474,3 +474,15 @@ def test_period_count_below_one_rejected(grid16, n):
         F.rescale_periodic(f, n, grid16)
     with pytest.raises(ValueError, match="period count"):
         coef.rescaled(n, grid16)
+
+
+@pytest.mark.parametrize("spec", ["sm", "vdot"])
+@pytest.mark.parametrize("dealias", [False, True])
+def test_pointwise_rejects_removed_product_kinds(grid16, spec, dealias):
+    # factors of the shapes the removed kinds took: scalar * matrix, <vector, vector>
+    a = (F.ScalarField(grid16, np.ones(grid16.n), real=True) if spec == "sm"
+         else F.VectorField(grid16, np.ones((3,) + grid16.n), real=True))
+    b = (F.MatrixField(grid16, np.ones((3, 3) + grid16.n), real=True) if spec == "sm"
+         else F.VectorField(grid16, np.ones((3,) + grid16.n), real=True))
+    with pytest.raises(ValueError, match="unknown product spec"):
+        F.pointwise(a, b, spec, dealias=dealias)

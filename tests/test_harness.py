@@ -220,3 +220,18 @@ def test_run_inputs_source_seeds(grid16, branch, seeds):
     for b, seed in seeds.items():
         expect = random_divfree_field(grid16, 4, seed)
         assert np.array_equal(inputs.sources[b].values, expect.values)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.05, float("nan")])
+@pytest.mark.parametrize("kind", ["layered_smoothed", "checkerboard_smoothed"])
+def test_smoothing_width_must_be_finite_and_positive(grid16, kind, width):
+    # runs under the tier-1 filter: a division by a zero width would raise
+    # a RuntimeWarning instead of InvalidParams
+    desc = CoefficientDescriptor(kind, {"alpha": 1.0, "beta": 3.0, "width": width})
+    with pytest.raises(InvalidParams, match="width"):
+        mh.generate_coefficient(desc, grid16)
+
+
+def test_negative_coefficient_seed_is_invalid(grid16):
+    with pytest.raises(InvalidParams, match="seed"):
+        mh.generate_coefficient(CoefficientDescriptor("trig_matrix", {}, seed=-1), grid16)

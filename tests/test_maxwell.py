@@ -853,3 +853,75 @@ def test_zero_source_solves_to_zero(grid16, trig_eta, trig_mu):
     phi, diag = mh.solve_symmetrized(prob, "q", tol=1e-9)
     assert np.all(phi.values == 0.0)
     assert diag["true_residual"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# CG operator builders against c2c references
+# ---------------------------------------------------------------------------
+
+
+def _c2c_symbol(blocks):
+    # (3, 3) blocks over the full spectrum, applied mode-wise through c2c
+    axes = (-3, -2, -1)
+    return lambda r: np.fft.ifftn(np.einsum("ij...,j...->i...", blocks,
+                                            np.fft.fftn(r, axes=axes)), axes=axes)
+
+
+def _c2c_curl_grad_div(grid):
+    axes = (-3, -2, -1)
+    k = grid.freq_deriv
+
+    def c2c(v, mult):
+        return np.fft.ifftn(mult(np.fft.fftn(v, axes=axes)), axes=axes)
+
+    def curl(v):
+        return c2c(v, lambda vh: 1j * np.stack([k[1] * vh[2] - k[2] * vh[1],
+                                                k[2] * vh[0] - k[0] * vh[2],
+                                                k[0] * vh[1] - k[1] * vh[0]]))
+
+    return (curl, lambda s: c2c(s, lambda sh: 1j * k * sh[None]),
+            lambda v: c2c(v, lambda vh: 1j * np.sum(k * vh, axis=0)))
+
+
+def _assert_close(got, ref, rel=1e-13):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+def test_operator_builders_match_c2c_reference(matrix_problem16):
+    from maxhom.operators import first_order_operator, vector_cell_operator
+    g = matrix_problem16.torus
+    A, B = matrix_problem16.mu_eps, matrix_problem16.eta_eps
+    curl, grad, div = _c2c_curl_grad_div(g)
+    av, a_s, a_is, b_i = (A.values, A.power_vals(0.5), A.power_vals(-0.5),
+                          B.power_vals(-1.0))
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((3,) + g.n)
+
+    def mv(m, v):
+        return np.einsum("ij...,j...->i...", m, v)
+
+    apply_op, apply_prec = first_order_operator(A, B)
+    _assert_close(apply_op(y), curl(mv(b_i, curl(y))) + mv(av, y))
+    cross = np.linalg.inv(_full_blocks(g, B.mean_matrix(), A.mean_matrix()))
+    _assert_close(apply_prec(y), _c2c_symbol(np.moveaxis(cross, (-2, -1), (0, 1)))(y))
+
+    apply_op, apply_prec = vector_cell_operator(A, B)  # L[A, B] minus its mean
+    ref = (mv(a_is, curl(mv(b_i, curl(mv(a_is, y))))) - mv(a_s, grad(div(mv(a_s, y)))))
+    ref = ref - ref.reshape(3, -1).mean(axis=1).reshape(3, 1, 1, 1)
+    _assert_close(apply_op(y), ref)
+    sym_inv = _full_sym_inverse(g, A.mean_matrix(), B.mean_matrix(), 0.0)
+    _assert_close(apply_prec(y), _c2c_symbol(sym_inv)(y))
+
+
+@pytest.mark.parametrize("n", [(16, 16, 16), (8, 6, 10)])
+def test_sym_symbol_inverse_zero_blocks_exactly_at_singular_modes(cubic, n):
+    from maxhom.operators import sym_symbol_inverse
+    grid = mh.GridSpec(n, cubic)
+    a0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.2]])
+    b0 = np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.3], [0.0, 0.3, 1.5]])
+    singular = grid.k2_half == 0
+    assert singular.any() and not singular.all()
+    for shift, expect in ((0.0, singular), (1.0, np.zeros_like(singular))):
+        zero_blocks = np.all(sym_symbol_inverse(grid, a0, b0, shift=shift) == 0.0,
+                             axis=(0, 1))
+        assert np.array_equal(zero_blocks, expect)
