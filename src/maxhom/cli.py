@@ -7,7 +7,8 @@ all three commands.  Exit codes: 0 success; 1 solver failure, after which
 the command's JSON artifact holds partial: true and the failure message; 2
 malformed configuration or violated precondition (including maxiter or
 workers < 1, a source_decay whose source overflows, a non-finite
-coefficient sample, and a coefficient eigenvalue below the floor).  With
+coefficient sample, and a coefficient eigenvalue below the floor), after
+which no output directory the run created is left.  With
 first_order, maxwell_run.json holds the vector-cell diagnostics of each
 branch under "correctors".  All randomness is seeded from the configuration,
 so reruns with the same file and worker count reproduce the JSON and CSV
@@ -21,6 +22,7 @@ import configparser
 import dataclasses
 import io
 import json
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -358,13 +360,18 @@ def main(argv=None) -> int:
         p.add_argument("--workers", type=int, default=None, help="FFT workers")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance")
     args = parser.parse_args(argv)
+    made = None  # the outermost output directory this run creates
     try:
         cfg = parse_config(args.config)
+        out = Path(cfg.out_dir if args.out is None else args.out)
+        made = next((d for d in (*reversed(out.parents), out) if not d.exists()), None)
         cmd = {"cell": cmd_cell, "maxwell": cmd_maxwell, "converge": cmd_converge}
         return cmd[args.command](cfg, args.out, args.workers, args.tol)
     except (ConfigError, InvalidParams, DegenerateBasis, GridError,
             SingularPoint) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if made is not None:  # an input error leaves no output behind
+            shutil.rmtree(made, ignore_errors=True)
         return EXIT_CONFIG
     except NoConvergence as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

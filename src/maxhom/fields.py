@@ -318,10 +318,6 @@ def sub(a: Field, b: Field) -> Field:
     return a._like(a.values - b.values, real=a.real and b.real)
 
 
-def scale(a: Field, c) -> Field:
-    return a._like(a.values * c, real=a.real and np.isreal(c))
-
-
 def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> np.ndarray:
     """Index map of x -> f(x / eps), eps = 1/n_periods, from a cell grid to a
     commensurate torus grid: flat row-major cell node indices, of shape

@@ -109,10 +109,15 @@ def generate_coefficient(desc: CoefficientDescriptor,
             raise InvalidParams(f"constant coefficient must be positive: {value}")
         return _isotropic(grid, np.full(grid.n, value))
 
-    if desc.kind == "layered_smoothed":
+    if desc.kind in ("layered_smoothed", "checkerboard_smoothed"):  # two phases
+        missing = [key for key in ("alpha", "beta") if key not in p]
+        if missing:
+            raise InvalidParams(f"{desc.kind} coefficient needs parameter {missing[0]!r}")
         alpha, beta = float(p["alpha"]), float(p["beta"])
         if alpha <= 0 or beta <= 0:
             raise InvalidParams(f"contrast must be positive: {alpha}, {beta}")
+
+    if desc.kind == "layered_smoothed":
         fill = float(p.get("fill", 0.5))
         if not 0.0 < fill < 1.0:
             raise InvalidParams(f"fill must be in (0, 1): {fill}")
@@ -153,9 +158,6 @@ def generate_coefficient(desc: CoefficientDescriptor,
         return CoefficientField(MatrixField(grid, vals, real=True))
 
     if desc.kind == "checkerboard_smoothed":
-        alpha, beta = float(p["alpha"]), float(p["beta"])
-        if alpha <= 0 or beta <= 0:
-            raise InvalidParams(f"contrast must be positive: {alpha}, {beta}")
         width = float(p.get("width", 0.08))
         ax1, ax2 = (_axis(a) for a in _values(p.get("axes", (0, 1)), 2, "axes", int))
         t = grid.fractional_coords()
@@ -435,13 +437,12 @@ def convergence_study(config: StudyConfig,
             break
         per_eps_s.append(time.perf_counter() - t1)
         done_eps.append(float(eps))
-        means = sol.correction_means()
+        means, corr = sol.correction_means(), sol.corr_fields
         for f in FIELD_NAMES:
             errors[f].append(sol.errors[f])
             rel_errors[f].append(sol.rel_errors[f])
             corr_means[f].append(means[f])
-            corr_weak[f].append(
-                abs(inner(sol.corr_fields[f], g_test)) / g_norm)
+            corr_weak[f].append(abs(inner(corr[f], g_test)) / g_norm)
     runtime["per_eps_s"] = per_eps_s
     runtime["total_s"] = time.perf_counter() - t0
 

@@ -38,7 +38,7 @@ and the four first-order approximants are (1 + Y_eta^eps)(u0 + u_hat),
 (1 + G_eta^eps)(w0 + w_hat), (1 + Y_mu^eps)(v0 + v_hat),
 (1 + G_mu^eps)(z0 + z_hat).  For real sources each field is i times a real
 field: run_maxwell carries them divided by i, through linear helpers that keep
-the dtype, and applies the factor i once, where it returns.
+the dtype, and the factor i is applied when a `MaxwellSolution` value is read.
 """
 
 from __future__ import annotations
@@ -283,7 +283,8 @@ def _fields_from_phi(g: GridSpec, phi_vals: np.ndarray, branch: str,
     the other one; `apply(m, x)` applies a matrix coefficient to an array.
 
     The map is linear and keeps the dtype: run_maxwell passes phi / i, a
-    real array for real sources, and applies the factor i where it returns."""
+    real array for real sources, and the factor i is applied when a
+    `MaxwellSolution` value is read."""
     x = apply(a_isqrt, phi_vals)
     y = apply(a_sqrt, phi_vals)
     c = curl_vals(g, x) if branch == "r" else -curl_vals(g, x)
@@ -366,33 +367,39 @@ def approximant_fields(eff_fields: dict, corr_fields: dict,
 # ---------------------------------------------------------------------------
 
 
+def _read_times_i(key: str) -> property:
+    """over_i[key] read as a new dict of VectorField(grid, 1j * x) per x."""
+    return property(lambda sol: {n: VectorField(f.grid, 1j * f.values)
+                                 for n, f in sol.over_i[key].items()})
+
+
 @dataclass
 class MaxwellSolution:
-    """Everything produced by one eps run (one or both branches)."""
+    """Everything produced by one eps run (one or both branches): phi as
+    solve_symmetrized returns it, and the seven families read below, stored
+    once in `over_i` divided by i (float64 for a real source, psi excepted:
+    the correctors are complex); each read applies the factor i."""
 
     problem: MaxwellProblem
     branches: list[str]
     phi: dict
-    phi0: dict
-    correction_phi: dict
-    psi: dict
-    fields: dict          # u, v, w, z at the eps level (branch sum)
-    eff_fields: dict      # u0, v0, w0, z0
-    corr_fields: dict     # u_hat, v_hat, w_hat, z_hat
-    approximants: dict
+    over_i: dict
     errors: dict
     rel_errors: dict
     diagnostics: dict
+
+    phi0 = _read_times_i("phi0")
+    correction_phi = _read_times_i("correction_phi")
+    psi = _read_times_i("psi")
+    fields = _read_times_i("fields")              # u, v, w, z at the eps level (branch sum)
+    eff_fields = _read_times_i("eff_fields")      # u0, v0, w0, z0
+    corr_fields = _read_times_i("corr_fields")    # u_hat, v_hat, w_hat, z_hat
+    approximants = _read_times_i("approximants")
 
     def correction_means(self) -> dict:
         """|mean| of each correction field (weak-convergence proxy)."""
         return {n: float(np.linalg.norm(mean(f)))
                 for n, f in self.corr_fields.items()}
-
-
-def _times_i(fields: dict) -> dict:
-    """The returned values: i times the fields / i that run_maxwell carries."""
-    return {n: VectorField(f.grid, 1j * f.values) for n, f in fields.items()}
 
 
 def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
@@ -461,17 +468,8 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
         rel_errors[n] = errors[n] / max(l2_norm(f), 1e-300)
 
     return MaxwellSolution(
-        problem=problem,
-        branches=branches,
-        phi=phi,
-        phi0=_times_i(phi0),
-        correction_phi=_times_i(corr_phi),
-        psi=_times_i(psi),
-        fields=_times_i(totals),
-        eff_fields=_times_i(eff_totals),
-        corr_fields=_times_i(corr_totals),
-        approximants=_times_i(approx),
-        errors=errors,
-        rel_errors=rel_errors,
-        diagnostics=diagnostics,
-    )
+        problem=problem, branches=branches, phi=phi,
+        over_i=dict(phi0=phi0, correction_phi=corr_phi, psi=psi, fields=totals,
+                    eff_fields=eff_totals, corr_fields=corr_totals,
+                    approximants=approx),
+        errors=errors, rel_errors=rel_errors, diagnostics=diagnostics)

@@ -30,9 +30,9 @@ is both the exact solver for effective problems and the preconditioner for
 the variable-coefficient CG.  Every symbol here is real and even in k, so it
 maps real fields to real fields, and the solves built on these operators run
 in real arithmetic: their sources are real up to one global factor i, which
-is applied once to the result (for the torus fields, where run_maxwell
-returns).  The half spectrum halves the symbol memory and the mode-wise 3x3
-inversions against the full spectrum.
+is applied once to the result (for the torus fields, when a
+`MaxwellSolution` value is read).  The half spectrum halves the symbol
+memory and the mode-wise 3x3 inversions against the full spectrum.
 """
 
 from __future__ import annotations

@@ -376,6 +376,8 @@ def test_bad_source_and_basis_exit_before_output(tmp_path, capsys, old, new, nam
     "kind = trig_isotropic\naxis = 5",
     "kind = layered_smoothed\nalpha = 1.0\nbeta = 4.0\naxis = 3",
     "kind = checkerboard_smoothed\nalpha = 1.0\nbeta = 4.0\naxes = 0 7",
+    "kind = layered_smoothed\nbeta = 4.0",
+    "kind = checkerboard_smoothed\nalpha = 1.0",
 ])
 def test_malformed_coefficient_parameters_exit_2(tmp_path, capsys, coefficient):
     text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
@@ -495,3 +497,28 @@ def test_bad_smoothing_width_exit_2_without_warning(tmp_path, capsys, command, k
     assert err.startswith("config error")
     assert "width" in err
     assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("coefficient,named", [
+    ("kind = trig_matrix\nseed = -1", "seed"),
+    ("kind = layered_smoothed\nalpha = 1.0\nbeta = 3.0\nwidth = 0", "width"),
+    ("kind = layered_smoothed\nbeta = 3.0", "'alpha'"),
+    ("kind = checkerboard_smoothed\nalpha = 1.0", "'beta'"),
+])
+@pytest.mark.parametrize("section", ["eta", "mu"])
+@pytest.mark.parametrize("command", ["cell", "maxwell", "converge"])
+def test_descriptor_errors_exit_2_and_leave_no_output(tmp_path, capsys, command,
+                                                      section, coefficient, named):
+    # a bad [mu] is found after `cell` has written the [eta] fields
+    value = "value = 2.0" if section == "eta" else "value = 3.0"
+    text = BASE_CONFIG.replace("n = 16 16 16", "n = 8 8 8").replace(
+        f"kind = constant\n{value}", coefficient)
+    out = tmp_path / "o" / "run"
+    code = main([command, "--config", str(write_config(tmp_path, text)),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

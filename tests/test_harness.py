@@ -235,3 +235,12 @@ def test_smoothing_width_must_be_finite_and_positive(grid16, kind, width):
 def test_negative_coefficient_seed_is_invalid(grid16):
     with pytest.raises(InvalidParams, match="seed"):
         mh.generate_coefficient(CoefficientDescriptor("trig_matrix", {}, seed=-1), grid16)
+
+
+@pytest.mark.parametrize("kind,params,missing", [
+    ("layered_smoothed", {"beta": 4.0}, "alpha"),
+    ("checkerboard_smoothed", {"alpha": 1.0}, "beta"),
+])
+def test_two_phase_kinds_require_alpha_and_beta(grid16, kind, params, missing):
+    with pytest.raises(InvalidParams, match=f"{kind}.*{missing}"):
+        mh.generate_coefficient(CoefficientDescriptor(kind, params), grid16)

@@ -925,3 +925,40 @@ def test_sym_symbol_inverse_zero_blocks_exactly_at_singular_modes(cubic, n):
         zero_blocks = np.all(sym_symbol_inverse(grid, a0, b0, shift=shift) == 0.0,
                              axis=(0, 1))
         assert np.array_equal(zero_blocks, expect)
+
+
+# ---------------------------------------------------------------------------
+# a solution stores each field once, divided by i
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("phi0", "correction_phi", "psi", "fields", "eff_fields",
+            "corr_fields", "approximants")
+
+
+def test_reading_a_value_never_changes_the_solution(real_source_solution):
+    sol = real_source_solution
+    for name in FAMILIES:
+        first = {key: f.values.copy() for key, f in getattr(sol, name).items()}
+        for f in getattr(sol, name).values():
+            f.values[...] = 0
+        again = getattr(sol, name)
+        assert all(np.array_equal(again[key].values, first[key]) for key in first), name
+
+
+def test_solution_stores_only_the_real_quotient(real_source_solution):
+    # phi is the symmetrized solve's own result, and psi / i is complex with a
+    # zero imaginary part because the correctors Lambda are stored complex
+    def arrays(node):
+        if isinstance(node, F.Field):
+            yield node.values
+        elif isinstance(node, np.ndarray):
+            yield node
+        elif isinstance(node, dict):
+            for key, value in node.items():
+                if key not in ("problem", "phi", "psi"):
+                    yield from arrays(value)
+
+    stored = list(arrays(vars(real_source_solution)))
+    # phi0 and correction_phi per branch, four fields in each of four families
+    assert len(stored) == 2 + 2 + 4 * 4
+    assert all(a.dtype == np.float64 for a in stored)
