@@ -4,7 +4,8 @@ Scalar cell problems: for each coordinate direction e_j the zero-mean
 periodic potential P_j solves  div a(x) (grad P_j + e_j) = 0.  The solve is
 preconditioned CG on the spectral collocation operator -div a grad, with the
 constant-coefficient operator -div mean(a) grad (exactly invertible in
-Fourier space) as preconditioner.  Derived objects:
+Fourier space) as preconditioner; its vectors stay on the half spectrum (see
+:mod:`maxhom.operators`).  Derived objects:
 
     Y          matrix with columns grad P_j           zero mean
     tilde      a (Y + 1)                              divergence-free columns
@@ -53,17 +54,22 @@ from .fields import (
     MatrixField,
     ScalarField,
     VectorField,
+    div_hat,
     div_vals,
     divergence,
     gather_nodes,
+    grad_hat,
     grad_norm2_mean,
     grad_vals,
     curl_vals,
+    half_dot,
+    irfft_vals,
     l2_norm,
     matvec_vals,
     mean,
     pointwise,
     rescale_index,
+    rfft_vals,
     spectral_map,
     harmonic_mean_matrix,
     arithmetic_mean_matrix,
@@ -114,11 +120,13 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
     apply_op, apply_prec = elliptic_operator(a)
     potentials, grads, infos = [], [], []
     for j in range(3):
-        phi, info = pcg(apply_op, div_vals(grid, av[:, j]), apply_prec, tol,
-                        maxiter, context=f"scalar cell j={j}")
+        # CG on the half spectrum: the source is transformed once on the way
+        # in, the potential and its gradient once on the way out
+        ph, info = pcg(apply_op, div_hat(grid, rfft_vals(av[:, j])), apply_prec, tol,
+                       maxiter, context=f"scalar cell j={j}", dot=half_dot)
         infos.append(info)
-        potentials.append(ScalarField(grid, phi, real=True))
-        grads.append(grad_vals(grid, phi))
+        potentials.append(ScalarField(grid, irfft_vals(grid, ph), real=True))
+        grads.append(irfft_vals(grid, grad_hat(grid, ph)))
 
     y_vals = np.stack([np.stack([grads[j][i] for j in range(3)])
                        for i in range(3)])
@@ -445,9 +453,13 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
     apply_op, apply_prec = elliptic_operator(A)
     rhs = -(D.values - div_vals(grid, matvec_vals(av, g_c)))
     rhs = rhs - rhs.mean()
-    p0, _ = pcg(apply_op, rhs, apply_prec, tol, maxiter,
-                context=f"reconstruction l={l} j={j}")
-    f_part = matvec_vals(a_sqrt, g_c + grad_vals(grid, p0))
+    # CG on the half spectrum; the complex source by linearity, re + i im
+    f_part = g_c
+    for part, unit in ((rhs.real, 1.0), (rhs.imag, 1j)):
+        ph, _ = pcg(apply_op, rfft_vals(part), apply_prec, tol, maxiter,
+                    context=f"reconstruction l={l} j={j}", dot=half_dot)
+        f_part = f_part + unit * irfft_vals(grid, grad_hat(grid, ph))
+    f_part = matvec_vals(a_sqrt, f_part)
 
     # nullspace basis A^{1/2}(1 + Y_A)e_k and the constant fixing mean f = 0
     basis = np.einsum("im...,mk...->ik...",

@@ -9,12 +9,22 @@ and is therefore exact on band-limited data; there are no finite differences.
 The raw-array ``*_vals`` functions are the one implementation of the
 calculus; the :class:`Field` functions wrap them, and every operator, symbol,
 symbol inverse and the elliptic solver built on them live in
-:mod:`maxhom.operators`.  The raw layer has one transform path,
-:func:`spectral_map`: a real-to-complex FFT (``rfftn``) onto the half
-spectrum (last axis cut to n3//2 + 1 modes, ``GridSpec.freq_half``), a
-multiplier there, and ``irfftn`` back.  Real input gives real output at about
-half the cost of the complex transform pair; complex input is mapped by
-linearity, as re + i im, which costs about one complex pass.  ``fftn`` and
+:mod:`maxhom.operators`.  The raw layer has one transform pair,
+:func:`rfft_vals` / :func:`irfft_vals`: a real-to-complex FFT (``rfftn``)
+onto the half spectrum (last axis cut to n3//2 + 1 modes,
+``GridSpec.freq_half``) and ``irfftn`` back.  :func:`spectral_map` is a
+multiplier between the two; real input gives real output at about half the
+cost of the complex transform pair, and complex input is mapped by
+linearity, as re + i im, which costs about one complex pass.  The derivative
+multipliers on the half spectrum are :func:`grad_hat`, :func:`div_hat` and
+:func:`curl_hat`.
+
+The scalar-cell, symmetrized and constraint-repair CGs keep their vectors on
+this half spectrum (see :mod:`maxhom.operators`), with the Parseval inner
+product :func:`half_dot`: a mode of the planes k3 = 0 and k3 = n3/2
+(Nyquist) stands for itself, every other mode also for its conjugate
+partner, so they carry weight 1 and 2 (grid sizes are even); on those two
+planes only the Hermitian part counts, the part ``irfftn`` reads.  ``fftn`` and
 ``ifftn`` (complex-to-complex) remain where a full spectrum is used: spectrum
 resizing (de-aliasing), random-field synthesis, ``grad_norm2_mean``,
 ``brute``.
@@ -47,6 +57,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import InitVar, dataclass, field as dc_field
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -145,38 +156,80 @@ def _check_same_grid(a: Field, b) -> None:
 # ---------------------------------------------------------------------------
 
 
+def rfft_vals(v: np.ndarray) -> np.ndarray:
+    """Half spectrum of real samples over the last three axes (``rfftn``)."""
+    return sfft.rfftn(v, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def irfft_vals(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+    """Real samples on `grid` of a half spectrum (``irfftn``)."""
+    return sfft.irfftn(vh, s=grid.n, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
 def spectral_map(grid: GridSpec, v: np.ndarray, fn) -> np.ndarray:
-    """irfftn(fn(rfftn(v))) over the last three axes: `fn` maps the half
-    spectrum of v to the half spectrum of the result, and must send real
-    fields to real fields (a multiplier m with m(-k) = conj m(k), such as i k
-    or a real even symbol).  A complex v is mapped by linearity, as
-    map(re v) + i map(im v)."""
+    """irfft_vals(fn(rfft_vals(v))): `fn` maps the half spectrum of v to the
+    half spectrum of the result, and must send real fields to real fields (a
+    multiplier m with m(-k) = conj m(k), such as i k or a real even symbol).
+    A complex v is mapped by linearity, as map(re v) + i map(im v)."""
     if np.iscomplexobj(v):
         return spectral_map(grid, v.real, fn) + 1j * spectral_map(grid, v.imag, fn)
-    vh = sfft.rfftn(v, axes=(-3, -2, -1), workers=_FFT_WORKERS)
-    return sfft.irfftn(fn(vh), s=grid.n, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    return irfft_vals(grid, fn(rfft_vals(v)))
+
+
+def half_dot(ah: np.ndarray, bh: np.ndarray) -> float:
+    """Parseval inner product N sum_x a b of the real fields a = irfft(ah),
+    b = irfft(bh), from their half spectra.
+
+    Modes off the k3 = 0 and Nyquist planes stand for themselves and their
+    conjugate partners: weight 2.  On those two planes ``irfftn`` reads only
+    the Hermitian part (ah(k) + conj ah(-k)) / 2, so the planes enter through
+    it, with weight 1: (Re sum conj(ah) bh + Re sum ah(k) bh(-k)) / 2.  The
+    rounding of a transform leaves a non-Hermitian part on them that no
+    operator sees; counting it would let a CG divide by noise.  A plain
+    numpy reduction over the interleaved (re, im) floats, so every process
+    gets the same bits.
+    """
+    p = np.ascontiguousarray(ah).view(float) * np.ascontiguousarray(bh).view(float)
+    p[..., :2] *= 0.25   # the k3 = 0 plane, as (re, im) pairs
+    p[..., -2:] *= 0.25  # the Nyquist plane
+    total = 2.0 * float(np.sum(p))
+    for plane in (0, -1):
+        b_neg = np.roll(np.flip(bh[..., plane], (-2, -1)), 1, (-2, -1))  # bh(-k)
+        total += 0.5 * float(np.sum((ah[..., plane] * b_neg).real))
+    return total
+
+
+def grad_hat(grid: GridSpec, sh: np.ndarray) -> np.ndarray:
+    """i k sh on the half spectrum: the gradient multiplier."""
+    return grid.freq_half * (1j * sh)[None]
+
+
+def div_hat(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+    """i k . vh on the half spectrum: the divergence multiplier."""
+    k = grid.freq_half
+    return 1j * (k[0] * vh[0] + k[1] * vh[1] + k[2] * vh[2])
+
+
+def curl_hat(grid: GridSpec, vh: np.ndarray) -> np.ndarray:
+    """i k x vh on the half spectrum: the curl multiplier."""
+    k = grid.freq_half
+    out = np.empty_like(vh)
+    out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
+    out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
+    out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
+    return out
 
 
 def grad_vals(grid: GridSpec, s: np.ndarray) -> np.ndarray:
-    return spectral_map(grid, s, lambda sh: 1j * grid.freq_half * sh[None])
+    return spectral_map(grid, s, partial(grad_hat, grid))
 
 
 def div_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    return spectral_map(
-        grid, v, lambda vh: 1j * np.einsum("d...,d...->...", grid.freq_half, vh))
+    return spectral_map(grid, v, partial(div_hat, grid))
 
 
 def curl_vals(grid: GridSpec, v: np.ndarray) -> np.ndarray:
-    k = grid.freq_half
-
-    def cross(vh):
-        out = np.empty_like(vh)
-        out[0] = 1j * (k[1] * vh[2] - k[2] * vh[1])
-        out[1] = 1j * (k[2] * vh[0] - k[0] * vh[2])
-        out[2] = 1j * (k[0] * vh[1] - k[1] * vh[0])
-        return out
-
-    return spectral_map(grid, v, cross)
+    return spectral_map(grid, v, partial(curl_hat, grid))
 
 
 def grad_norm2_mean(grid: GridSpec, vals: np.ndarray) -> float:

@@ -437,7 +437,8 @@ def convergence_study(config: StudyConfig,
             break
         per_eps_s.append(time.perf_counter() - t1)
         done_eps.append(float(eps))
-        means, corr = sol.correction_means(), sol.corr_fields
+        corr = sol.corr_fields  # each read builds the complex fields anew
+        means = sol.correction_means(corr)
         for f in FIELD_NAMES:
             errors[f].append(sol.errors[f])
             rel_errors[f].append(sol.rel_errors[f])

@@ -55,14 +55,18 @@ from .fields import (
     add,
     const_matvec_vals,
     curl_vals,
+    div_hat,
     div_vals,
     divergence,
-    grad_vals,
+    grad_hat,
+    half_dot,
+    irfft_vals,
     l2_norm,
     l2_norm_vals,
     matvec_vals,
     mean,
     rescale_periodic,
+    rfft_vals,
     spectral_map,
 )
 from .lattice import GridSpec
@@ -200,7 +204,9 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
     eps-independent.  The weighted-gradient component introduced by the
     finite residual is then removed through a scalar solve div(A grad p) =
     div(A^{1/2} phi), which restores the divergence constraint without
-    touching the curl-curl part (curl grad = 0 exactly).
+    touching the curl-curl part (curl grad = 0 exactly).  Both CGs keep
+    their vectors on the half spectrum; a complex source is solved by
+    linearity, as solve(re) + i solve(im).
 
     Returns (phi, diagnostics).  The residual of the full symmetrized
     operator equation is measured and must come out <= tol relative to the
@@ -214,30 +220,41 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
     A, B, src = _branch_coeffs(problem, branch)
     g = problem.torus
     a_sqrt, a_isqrt, b_inv = A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0)
-    # for a real source every array below is real: the solve runs for
-    # y / i and phi / i, and the factor i is applied once to the result
-    rhs1 = src.values
-    s = matvec_vals(a_isqrt, rhs1)
+    # the solve runs for the real fields y / i and phi / i (a complex source
+    # by linearity, re + i im), and the factor i is applied once to the result
+    s = matvec_vals(a_isqrt, src.values)
     snorm = l2_norm_vals(g, s)
 
+    # both CGs iterate on half spectra (see maxhom.operators)
     apply_k, apply_kp = first_order_operator(A, B)
     # scalar repair solve: div(A grad p) = rhs, preconditioned by mean(A)
     apply_scalar, apply_scalar_prec = elliptic_operator(A)
+    its = []  # iterations of every CG run
+
+    def solve_pass(rhs1, inner_tol):
+        """(phi / i, CG residual) of one first-order CG and its constraint
+        repair for a real source: rhs1 is transformed once on the way in, y
+        once on the way out."""
+        yh, info = pcg(apply_k, rfft_vals(rhs1), apply_kp, inner_tol, maxiter,
+                       context=f"symmetrized solve branch={branch}", dot=half_dot)
+        its.append(info.iterations)
+        phi_vals = matvec_vals(a_sqrt, irfft_vals(g, yh))
+        gdiv = div_hat(g, rfft_vals(matvec_vals(a_sqrt, phi_vals)))
+        if np.sqrt(half_dot(gdiv, gdiv) / g.size) > 1e-14 * np.sqrt(np.sum(rhs1**2)):
+            ph, pinfo = pcg(apply_scalar, -gdiv, apply_scalar_prec, 1e-4,
+                            maxiter, context="constraint repair", dot=half_dot)
+            its.append(pinfo.iterations)
+            phi_vals = phi_vals - matvec_vals(a_sqrt, irfft_vals(g, grad_hat(g, ph)))
+        return phi_vals, info.residual
 
     inner_tol = 0.02 * tol
-    iterations = 0
     for _ in range(3):
-        y, info = pcg(apply_k, rhs1, apply_kp, inner_tol, maxiter,
-                      context=f"symmetrized solve branch={branch}")
-        iterations += info.iterations
-        phi_vals = matvec_vals(a_sqrt, y)
-        gdiv = div_vals(g, matvec_vals(a_sqrt, phi_vals))
-        gdiv_norm = np.sqrt(np.sum(np.abs(gdiv) ** 2))
-        if gdiv_norm > 1e-14 * np.sqrt(np.sum(np.abs(rhs1) ** 2)):
-            p, pinfo = pcg(apply_scalar, -gdiv, apply_scalar_prec, 1e-4,
-                           maxiter, context="constraint repair")
-            iterations += pinfo.iterations
-            phi_vals = phi_vals - matvec_vals(a_sqrt, grad_vals(g, p))
+        if np.iscomplexobj(src.values):  # by linearity, as re + i im
+            (re, re_res), (im, im_res) = (solve_pass(part, inner_tol) for part in
+                                          (src.values.real, src.values.imag))
+            phi_vals, cg_res = re + 1j * im, max(re_res, im_res)
+        else:
+            phi_vals, cg_res = solve_pass(src.values, inner_tol)
         res = apply_sym(g, a_sqrt, a_isqrt, b_inv, phi_vals, shift=1.0) - s
         rel = (float(np.sqrt(np.sum(np.abs(res) ** 2) / np.sum(np.abs(s) ** 2)))
                if snorm else 0.0)  # a zero source solves to phi = 0
@@ -246,17 +263,17 @@ def solve_symmetrized(problem: MaxwellProblem, branch: str, tol: float = 1e-9,
         inner_tol *= 1e-2
     else:
         raise NoConvergence(
-            iterations, rel,
+            sum(its), rel,
             f"symmetrized residual check branch={branch} (tol {tol:.3e})")
 
     leak = l2_norm_vals(g, div_vals(g, matvec_vals(a_sqrt, phi_vals)))
     if leak > 10.0 * tol * snorm:
         raise NoConvergence(
-            iterations, leak / snorm,
+            sum(its), leak / snorm,
             f"symmetrized leakage check branch={branch} (limit {10.0 * tol:.3e})")
     diag = {
-        "iterations": iterations,
-        "residual": float(info.residual),
+        "iterations": sum(its),
+        "residual": float(cg_res),
         "true_residual": rel,
         "leakage": leak,
         "leakage_rel": leak / snorm if snorm else 0.0,
@@ -396,10 +413,11 @@ class MaxwellSolution:
     corr_fields = _read_times_i("corr_fields")    # u_hat, v_hat, w_hat, z_hat
     approximants = _read_times_i("approximants")
 
-    def correction_means(self) -> dict:
-        """|mean| of each correction field (weak-convergence proxy)."""
-        return {n: float(np.linalg.norm(mean(f)))
-                for n, f in self.corr_fields.items()}
+    def correction_means(self, corr_fields: dict | None = None) -> dict:
+        """|mean| of each correction field (weak-convergence proxy); pass the
+        dict of one `corr_fields` read to take further figures from it too."""
+        corr = self.corr_fields if corr_fields is None else corr_fields
+        return {n: float(np.linalg.norm(mean(f))) for n, f in corr.items()}
 
 
 def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,

@@ -10,6 +10,19 @@ symbol, from :func:`elliptic_operator` (-div a grad: scalar cell, repair),
 :func:`vector_cell_operator` (L[A, B]: vector cell) or
 :func:`first_order_operator` (curl B^{-1} curl y + A y: symmetrized torus).
 
+The elliptic and first-order pairs act on half spectra: the scalar-cell,
+constraint-repair and symmetrized CGs keep their vectors there, transform
+only around the pointwise coefficient products, and apply the
+preconditioner as a mode-wise product: 6 scalar transforms per iteration
+for the elliptic operator, 12 for the first-order one.  Those CGs take
+``dot=maxhom.fields.half_dot``, the Parseval inner product (weight 1 on the
+k3 = 0 and Nyquist planes, 2 elsewhere), so their iterates are those of the
+same CG on the grid; the solve functions transform the source once on the
+way in and the solution once on the way out.  The
+vector-cell pair acts on real samples (24 scalar transforms per iteration:
+18 in :func:`apply_sym`, whose grad div is one -k k^T multiplier, and 6 in
+the preconditioner).
+
 The second-order operator family used throughout is
 
     L[A, B] f = A^{-1/2} curl B^{-1} curl A^{-1/2} f
@@ -41,8 +54,8 @@ from functools import partial
 
 import numpy as np
 
-from .fields import (CoefficientField, curl_vals, div_vals, grad_vals, matvec_vals,
-                     spectral_map)
+from .fields import (CoefficientField, curl_hat, curl_vals, div_hat, grad_hat,
+                     irfft_vals, matvec_vals, rfft_vals, spectral_map)
 from .lattice import GridSpec
 
 
@@ -52,28 +65,31 @@ def guarded_div(num, den: np.ndarray) -> np.ndarray:
 
 
 def elliptic_operator(a: CoefficientField):
-    """(apply_op, apply_prec) for -div a grad on the grid of `a`.
-
-    apply_prec is the exact inverse of the constant-coefficient operator
-    -div mean(a) grad, with its null modes mapped to zero.
+    """(apply_op, apply_prec) for -div a grad on the grid of `a`, acting on
+    half spectra: apply_op transforms only around the pointwise product with
+    a (3 c2r, 3 r2c), and apply_prec, the exact inverse of the
+    constant-coefficient operator -div mean(a) grad with its null modes
+    mapped to zero, is a mode-wise product.
     """
     grid = a.grid
     av = a.values
     pm = np.einsum("ij,i...,j...->...", a.mean_matrix(), grid.freq_half, grid.freq_half)
     inv_pm = guarded_div(1.0, pm)
 
-    def apply_op(p):
-        return -div_vals(grid, matvec_vals(av, grad_vals(grid, p)))
+    def apply_op(ph):
+        flux = matvec_vals(av, irfft_vals(grid, grad_hat(grid, ph)))
+        return -div_hat(grid, rfft_vals(flux))
 
-    def apply_prec(r):
-        return spectral_map(grid, r, lambda rh: inv_pm * rh)
+    def apply_prec(rh):
+        return inv_pm * rh
 
     return apply_op, apply_prec
 
 
 def vector_cell_operator(A: CoefficientField, B: CoefficientField):
-    """(apply_op, apply_prec) for L[A, B] with the mean projected out; apply_prec
-    inverts the symbol of (mean(A), mean(B)), zero at its singular modes."""
+    """(apply_op, apply_prec) for L[A, B] with the mean projected out, acting
+    on real samples; apply_prec inverts the symbol of (mean(A), mean(B)),
+    zero at its singular modes."""
     grid = A.grid
     powers = A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0)
     prec = sym_symbol_inverse(grid, A.mean_matrix(), B.mean_matrix())
@@ -87,26 +103,33 @@ def vector_cell_operator(A: CoefficientField, B: CoefficientField):
 
 def first_order_operator(A: CoefficientField, B: CoefficientField):
     """(apply_op, apply_prec) for curl B^{-1} curl y + A y, the first-order form
-    of L[A, B] + 1; apply_prec inverts [k]x^T mean(B)^{-1} [k]x + mean(A)."""
+    of L[A, B] + 1, acting on half spectra: apply_op transforms y and curl y
+    to the grid (6 c2r) and B^{-1} curl y and A y back (6 r2c); apply_prec,
+    the mode-wise inverse of [k]x^T mean(B)^{-1} [k]x + mean(A), needs none."""
     grid = A.grid
     a_vals, b_inv = A.values, B.power_vals(-1.0)
     prec = cross_symbol_inverse(grid, B.mean_matrix(), A.mean_matrix())
 
-    def apply_op(y):
-        return curl_vals(grid, matvec_vals(b_inv, curl_vals(grid, y))) \
-            + matvec_vals(a_vals, y)
+    def apply_op(yh):
+        # one expression per term, so each grid array is freed once consumed
+        out = curl_hat(grid, rfft_vals(matvec_vals(
+            b_inv, irfft_vals(grid, curl_hat(grid, yh)))))
+        out += rfft_vals(matvec_vals(a_vals, irfft_vals(grid, yh)))
+        return out
 
-    return apply_op, partial(apply_symbol, grid, prec)
+    return apply_op, partial(symbol_matvec, prec)
 
 
 def apply_sym(grid: GridSpec, a_sqrt, a_isqrt, b_inv, f: np.ndarray,
               shift: float = 0.0) -> np.ndarray:
-    """L[A, B] f (+ shift f) with pointwise coefficient arrays of shape (3,3,n)."""
+    """L[A, B] f (+ shift f) with pointwise coefficient arrays of shape (3,3,n);
+    grad div is one multiplier, -k k^T."""
+    k = grid.freq_half
     c = curl_vals(grid, matvec_vals(a_isqrt, f))
     t1 = matvec_vals(a_isqrt, curl_vals(grid, matvec_vals(b_inv, c)))
-    p = div_vals(grid, matvec_vals(a_sqrt, f))
-    t2 = matvec_vals(a_sqrt, grad_vals(grid, p))
-    out = t1 - t2
+    gd = spectral_map(grid, matvec_vals(a_sqrt, f),
+                      lambda vh: -k * np.einsum("d...,d...->...", k, vh)[None])
+    out = t1 - matvec_vals(a_sqrt, gd)
     if shift:
         out = out + shift * f
     return out
@@ -181,7 +204,18 @@ def cross_symbol_inverse(grid: GridSpec, b0, a0) -> np.ndarray:
                                        + np.asarray(a0, dtype=float)))
 
 
+def symbol_matvec(symbol: np.ndarray, fh: np.ndarray) -> np.ndarray:
+    """A real half-spectrum (3, 3) multiplier (3, 3, n1, n2, n3//2 + 1) times a
+    half spectrum (3, n1, n2, n3//2 + 1), mode by mode."""
+    out = np.empty_like(fh)
+    for i in range(3):
+        out[i] = symbol[i, 0] * fh[0]
+        out[i] += symbol[i, 1] * fh[1]
+        out[i] += symbol[i, 2] * fh[2]
+    return out
+
+
 def apply_symbol(grid: GridSpec, symbol: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Apply a half-spectrum (3, 3) multiplier (3, 3, n1, n2, n3//2 + 1) to a
     vector-valued array (3, n)."""
-    return spectral_map(grid, f, lambda fh: matvec_vals(symbol, fh))
+    return spectral_map(grid, f, partial(symbol_matvec, symbol))

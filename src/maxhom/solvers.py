@@ -7,12 +7,17 @@ The stopping criterion is the preconditioned residual norm relative to the
 preconditioned source norm, which for the Laplacian-like preconditioners used
 here is the natural dual (spectral) norm of the residual.
 
-The operators are real, and the package's solves pass real (float64)
-sources, so CG runs in real arithmetic with real inner products; a complex
-source goes through the same iteration with the real part of the Hermitian
-inner product.  The inner products are plain numpy reductions, which keep
+The operators are real, and the package's solves pass real fields, so CG
+runs in real arithmetic.  The vector-cell CG iterates on float64 samples,
+with the default inner product (the real part of the Hermitian one).  The
+scalar-cell, symmetrized and constraint-repair CGs iterate on the half
+spectra of real fields (complex arrays, see :mod:`maxhom.operators`) and
+pass ``dot=maxhom.fields.half_dot``, the Parseval inner product with weight
+1 on the k3 = 0 and Nyquist planes and 2 elsewhere; it is N times the grid
+inner product, so the iterates and the stopping test are those of the same
+CG on the grid.  Every inner product is a plain numpy reduction, which keeps
 BLAS threads asleep (a threaded BLAS dot over grid-sized vectors burns CPU
-without shortening the solve).
+without shortening the solve) and gives the same bits in every process.
 """
 
 from __future__ import annotations
@@ -55,15 +60,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
-        context: str = "") -> tuple[np.ndarray, SolveInfo]:
+        context: str = "", dot=None) -> tuple[np.ndarray, SolveInfo]:
     """Solve A x = b for Hermitian positive definite A.
 
     apply_op / apply_prec map arrays of b's shape to arrays of that shape;
-    apply_prec realizes M^-1.  Raises :class:`NoConvergence` after `maxiter`
-    iterations, and at once on a non-finite source or residual.
+    apply_prec realizes M^-1.  `dot(a, b)` is the inner product the
+    operators are Hermitian for, by default the real part of the plain grid
+    one.  Raises :class:`NoConvergence` after `maxiter` iterations, and at
+    once on a non-finite source or residual.
     """
+    dot = _dot if dot is None else dot
     where = f"{context}: " if context else ""
-    bnorm2 = _dot(b, b)
+    bnorm2 = dot(b, b)
     if not np.isfinite(bnorm2):
         raise NoConvergence(0, bnorm2, where + "non-finite source")
     if bnorm2 == 0.0:
@@ -73,20 +81,20 @@ def pcg(apply_op, b: np.ndarray, apply_prec, tol: float, maxiter: int,
     r = b.copy()
     z = apply_prec(r)
     p = z.copy()
-    rz = _dot(r, z)
+    rz = dot(r, z)
     rz0 = rz
     it = 0
     rel = 1.0
     while it < maxiter:
         ap = apply_op(p)
-        pap = _dot(p, ap)
+        pap = dot(p, ap)
         if pap <= 0:  # breakdown: the operator is not positive definite
             raise NoConvergence(it, rel, where + "indefinite operator")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         z = apply_prec(r)
-        rz_new = _dot(r, z)
+        rz_new = dot(r, z)
         it += 1
         if not np.isfinite(rz_new):  # a NaN pap or operator output lands here too
             raise NoConvergence(it, rz_new, where + "non-finite residual")

@@ -300,7 +300,8 @@ def test_r2c_calculus_matches_c2c_reference(skew_grid, kind):
     m0 = coef.matrix.values.real.reshape(3, 3, -1).mean(axis=-1)
     pm = np.einsum("ij,i...,j...->...", m0, k, k)
     inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
-    pairs.append((elliptic_operator(coef)[1](s), _c2c(s, lambda sh: inv_pm * sh)))
+    pairs.append((F.spectral_map(g, s, elliptic_operator(coef)[1]),
+                  _c2c(s, lambda sh: inv_pm * sh)))
     for got, ref in pairs:
         assert np.iscomplexobj(got) == (kind == "complex")
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -486,3 +487,60 @@ def test_pointwise_rejects_removed_product_kinds(grid16, spec, dealias):
          else F.VectorField(grid16, np.ones((3,) + grid16.n), real=True))
     with pytest.raises(ValueError, match="unknown product spec"):
         F.pointwise(a, b, spec, dealias=dealias)
+
+
+@pytest.mark.parametrize("n", [(16, 16, 16), (8, 6, 10)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_half_dot_is_the_grid_inner_product(cubic, n, lead):
+    # random samples carry Nyquist content on every axis
+    rng = np.random.default_rng(sum(n) + len(lead))
+    u, v = rng.standard_normal((2,) + lead + n)
+    size = np.prod(n)
+    scale = size * np.sqrt(np.sum(u * u) * np.sum(v * v))
+    uh, vh = F.rfft_vals(u), F.rfft_vals(v)
+    assert abs(F.half_dot(uh, vh) - size * np.sum(u * v)) <= 1e-13 * scale
+    assert abs(F.half_dot(uh, uh) - size * np.sum(u * u)) <= 1e-13 * size * np.sum(u * u)
+    # a non-Hermitian part on the k3 = 0 and Nyquist planes is invisible to
+    # irfftn, and so to the inner product
+    noise = rng.standard_normal(uh.shape) + 1j * rng.standard_normal(uh.shape)
+    anti = np.zeros_like(uh)
+    for plane in (0, -1):
+        w = noise[..., plane]
+        w_neg = np.roll(np.flip(w, (-2, -1)), 1, (-2, -1))
+        anti[..., plane] = w - np.conj(w_neg)
+    grid = mh.GridSpec(n, cubic)
+    assert np.max(np.abs(F.irfft_vals(grid, anti))) <= 1e-13
+    assert abs(F.half_dot(uh + anti, vh) - F.half_dot(uh, vh)) <= 1e-13 * scale
+    assert abs(F.half_dot(uh, vh + anti) - F.half_dot(uh, vh)) <= 1e-13 * scale
+
+
+def test_half_spectrum_elliptic_cg_matches_c2c_cg(cubic):
+    # the scalar-cell CG on the half spectrum against the same CG written
+    # with complex arrays, c2c transforms and the default inner product
+    from maxhom.operators import elliptic_operator
+    from maxhom.solvers import pcg
+    grid = mh.GridSpec((8, 6, 10), cubic)
+    coef = mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_matrix", {}, seed=9), grid)
+    av, k, axes = coef.values, grid.freq_deriv, (-3, -2, -1)
+
+    def c2c(v, mult):
+        return np.fft.ifftn(mult(np.fft.fftn(v, axes=axes)), axes=axes)
+
+    pm = np.einsum("ij,i...,j...->...", coef.mean_matrix(), k, k)
+    inv_pm = np.where(pm > 0, 1.0 / np.where(pm > 0, pm, 1.0), 0.0)
+
+    def op(p):
+        flux = np.einsum("ij...,j...->i...", av, c2c(p, lambda ph: 1j * k * ph[None]))
+        return -c2c(flux, lambda fh: 1j * np.sum(k * fh, axis=0))
+
+    apply_op, apply_prec = elliptic_operator(coef)
+    for j in range(3):
+        b = c2c(av[:, j], lambda fh: 1j * np.sum(k * fh, axis=0)).real
+        ref, ref_info = pcg(op, b.astype(complex),
+                            lambda r: c2c(r, lambda rh: inv_pm * rh), 1e-12, 1000)
+        xh, info = pcg(apply_op, F.rfft_vals(b), apply_prec, 1e-12, 1000,
+                       dot=F.half_dot)
+        got = F.irfft_vals(grid, xh)
+        assert abs(info.iterations - ref_info.iterations) <= 1
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -901,9 +901,10 @@ def test_operator_builders_match_c2c_reference(matrix_problem16):
         return np.einsum("ij...,j...->i...", m, v)
 
     apply_op, apply_prec = first_order_operator(A, B)
-    _assert_close(apply_op(y), curl(mv(b_i, curl(y))) + mv(av, y))
+    _assert_close(F.spectral_map(g, y, apply_op), curl(mv(b_i, curl(y))) + mv(av, y))
     cross = np.linalg.inv(_full_blocks(g, B.mean_matrix(), A.mean_matrix()))
-    _assert_close(apply_prec(y), _c2c_symbol(np.moveaxis(cross, (-2, -1), (0, 1)))(y))
+    _assert_close(F.spectral_map(g, y, apply_prec),
+                  _c2c_symbol(np.moveaxis(cross, (-2, -1), (0, 1)))(y))
 
     apply_op, apply_prec = vector_cell_operator(A, B)  # L[A, B] minus its mean
     ref = (mv(a_is, curl(mv(b_i, curl(mv(a_is, y))))) - mv(a_s, grad(div(mv(a_s, y)))))
@@ -962,3 +963,33 @@ def test_solution_stores_only_the_real_quotient(real_source_solution):
     # phi0 and correction_phi per branch, four fields in each of four families
     assert len(stored) == 2 + 2 + 4 * 4
     assert all(a.dtype == np.float64 for a in stored)
+
+
+def test_complex_source_solves_by_linearity(grid16, trig_eta, trig_mu):
+    # q = a + i b: the solve is solve(a) + i solve(b), and the combined field
+    # passes the residual and leakage checks of the full equation
+    tol = 1e-9
+    a = random_divfree_field(grid16, 4, 71)
+    b = random_divfree_field(grid16, 4, 72)
+    q = F.VectorField(grid16, a.values + 1j * b.values)
+    phi, diag = mh.solve_symmetrized(mh.make_problem(trig_eta, trig_mu, 2, grid16, q=q),
+                                     "q", tol=tol)
+    phi_a, _ = mh.solve_symmetrized(mh.make_problem(trig_eta, trig_mu, 2, grid16, q=a),
+                                    "q", tol=tol)
+    phi_b, _ = mh.solve_symmetrized(mh.make_problem(trig_eta, trig_mu, 2, grid16, q=b),
+                                    "q", tol=tol)
+    expect = phi_a.values + 1j * phi_b.values
+    assert np.max(np.abs(phi.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    prob = mh.make_problem(trig_eta, trig_mu, 2, grid16, q=q)
+    A, B = prob.eta_eps, prob.mu_eps
+    s = symmetrized_rhs(prob, "q").values
+    res = apply_sym(grid16, A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0),
+                    phi.values, shift=1.0) - s
+    rel = F.l2_norm_vals(grid16, res) / F.l2_norm_vals(grid16, s)
+    leak = F.l2_norm_vals(grid16, F.div_vals(grid16, np.einsum(
+        "ij...,j...->i...", A.power_vals(0.5), phi.values)))
+    assert rel <= tol and diag["true_residual"] <= tol
+    assert abs(rel - diag["true_residual"]) <= 1e-3 * tol
+    assert leak <= 10.0 * tol * F.l2_norm_vals(grid16, s)
+    assert diag["leakage_rel"] <= 10.0 * tol
