@@ -26,10 +26,11 @@ the zero-mean periodic field f_lj solves
 
 The branch tag selects (A, B) = (mu, eta) for the magnetic source branch
 ("r") and (eta, mu) for the electric one ("q").  Uniqueness is fixed by
-projecting out the mean every iteration.  The nine f_lj are stored once, in
-one (3, 3, 3, n1, n2, n3) array: Lambda_l is its slice l and f_lj is column
-j of Lambda_l.  Converged solutions obey two first-order identities that
-involve only scalar cell data and the same sources:
+projecting out the mean every iteration.  Each f_lj, like s1 and s2, is i
+times a real field; the nine f_lj / i are stored once, in one float64
+(3, 3, 3, n1, n2, n3) array `over_i` with Lambda_l / i its slice l, and
+reading `f` or `Lambda` applies i.  Converged solutions obey two first-order
+identities that involve only scalar cell data and the same sources:
 
     div A^{1/2} f_lj           = i <e_l, (A^0)^{1/2} e_j> - s2
     B^{-1} curl A^{-1/2} f_lj  = i (1 + Y_B) (B^0)^{-1} (e_l x c_j) - B^{-1} s1
@@ -65,6 +66,7 @@ from .fields import (
     half_dot,
     irfft_vals,
     l2_norm,
+    l2_norm_vals,
     matvec_vals,
     mean,
     pointwise,
@@ -249,8 +251,7 @@ class CorrectorSet:
     """Vector cell solutions f_lj with their assembled and derived objects."""
 
     branch: str
-    f: list  # f[l][j] VectorField
-    Lambda: list  # Lambda[l] MatrixField with columns f_lj
+    over_i: np.ndarray  # [l, :, j] is f_lj / i, [l] is Lambda_l / i (float64)
     U: np.ndarray  # [l, i] scalar potentials over the grid
     M: np.ndarray  # [i, l, j] antisymmetric fields over the grid
     lambda_norms: np.ndarray  # ||Lambda_l||_L2 / |Omega|^{1/2}
@@ -264,6 +265,11 @@ class CorrectorSet:
     @property
     def grid(self) -> GridSpec:
         return self.a_cell.grid
+
+    # reads of i over_i, new arrays each time: f[l][j] is f_lj, Lambda[l] has columns f_lj
+    f = property(lambda cs: [[VectorField(cs.grid, 1j * cs.over_i[l, :, j]) for j in range(3)]
+                             for l in range(3)])
+    Lambda = property(lambda cs: [MatrixField(cs.grid, 1j * cs.over_i[l]) for l in range(3)])
 
 
 class BranchError(ValueError):
@@ -288,24 +294,20 @@ def requested_branches(requested: str) -> tuple[str, ...]:
     return (requested,)
 
 
-def _real_sources(a_cell: CellSolution, l: int, j: int):
-    """(s1 / i, s2 / i) of the (l, j) vector cell problem, as float64 arrays."""
+def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
+    """The pair (s1, s2) of the (l, j) vector cell problem, divided by i:
+
+    s1 = i e_l x ((Y_A + 1) c_j)  (vector),
+    s2 = i <e_l, tilde_A c_j>     (scalar),   c_j = (A^0)^{-1/2} e_j,
+
+    returned as the float64 arrays s1 / i and s2 / i.
+    """
     c = matrix_inv_sqrt(a_cell.effective)[:, j]
     yc = np.einsum("ij...,j->i...", a_cell.Y.values, c) + c.reshape(3, 1, 1, 1)
     a, b = (l + 1) % 3, (l + 2) % 3  # e_l x e_a = e_b, e_l x e_b = -e_a
     cross = np.zeros_like(yc)
     cross[a], cross[b] = -yc[b], yc[a]
     return cross, np.einsum("m...,m->...", a_cell.tilde.values[l], c)
-
-
-def vector_cell_sources(a_cell: CellSolution, l: int, j: int):
-    """The pair (s1, s2) entering the (l, j) vector cell problem.
-
-    s1 = i e_l x ((Y_A + 1) c_j)  (vector),
-    s2 = i <e_l, tilde_A c_j>     (scalar),   c_j = (A^0)^{-1/2} e_j.
-    """
-    s1, s2 = _real_sources(a_cell, l, j)
-    return 1j * s1, 1j * s2
 
 
 def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
@@ -330,7 +332,7 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
         m = c.mean_matrix().reshape(3, 3, 1, 1, 1)
         return np.max(np.abs(c.values - m)) <= 1e-14 * max(1.0, np.max(np.abs(m)))
 
-    lam = np.zeros((3, 3, 3) + grid.n, dtype=complex)  # lam[l, :, j] is f_lj
+    over_i = np.zeros((3, 3, 3) + grid.n)  # over_i[l, :, j] is f_lj / i
     residuals = np.zeros((3, 3))
     iterations = np.zeros((3, 3), dtype=int)
     # with constant coefficients and Y_A = 0 the problem sources are
@@ -339,11 +341,10 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
             and np.max(np.abs(a_cell.Y.values)) == 0.0):
         a_sqrt, a_isqrt, b_inv = A.power_vals(0.5), A.power_vals(-0.5), B.power_vals(-1.0)
         apply_op, apply_prec = vector_cell_operator(A, B)
-        # the sources are i times real fields: solve for f_lj / i in real
-        # arithmetic and apply the factor i to the result
+        # the sources are i times real fields: solve for f_lj / i in real arithmetic
         for l in range(3):
             for j in range(3):
-                s1, s2 = _real_sources(a_cell, l, j)
+                s1, s2 = vector_cell_sources(a_cell, l, j)
                 rhs = (
                     -matvec_vals(a_isqrt, curl_vals(grid, matvec_vals(b_inv, s1)))
                     + matvec_vals(a_sqrt, grad_vals(grid, s2))
@@ -353,21 +354,18 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
                     continue
                 x, info = pcg(apply_op, rhs, apply_prec, tol, maxiter,
                               context=f"vector cell branch={branch} l={l} j={j}")
-                lam[l, :, j] = 1j * x
+                over_i[l, :, j] = x
                 residuals[l, j] = info.residual
                 iterations[l, j] = info.iterations
 
-    f = [[VectorField(grid, lam[l, :, j]) for j in range(3)] for l in range(3)]
-    Lam = [MatrixField(grid, lam[l]) for l in range(3)]
-    lam_norms = np.array([l2_norm(m) for m in Lam]) / np.sqrt(grid.cell_volume)
+    lam_norms = np.array([l2_norm_vals(grid, m) for m in over_i]) / np.sqrt(grid.cell_volume)
 
     U, M = build_antisym_potentials(a_cell)
-    div_slack, rot_slack = (_corrector_identity_slacks(a_cell, b_cell, Lam)
+    div_slack, rot_slack = (_corrector_identity_slacks(a_cell, b_cell, over_i)
                             if check_identities else (None, None))
     return CorrectorSet(
         branch=branch,
-        f=f,
-        Lambda=Lam,
+        over_i=over_i,
         U=U,
         M=M,
         lambda_norms=lam_norms,
@@ -381,38 +379,39 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
 
 
 def corrector_divergence_target(a_cell: CellSolution, l: int, j: int) -> ScalarField:
-    """Explicit right-hand side of the divergence identity (field over the cell)."""
+    """Right-hand side of the divergence identity / i (field over the cell)."""
     _, s2 = vector_cell_sources(a_cell, l, j)
     a0_sqrt = matrix_sqrt(a_cell.effective)
-    return ScalarField(a_cell.grid, 1j * a0_sqrt[l, j] - s2)
+    return ScalarField(a_cell.grid, a0_sqrt[l, j] - s2)
 
 
 def _rotation_constant(a_cell: CellSolution, b_cell: CellSolution,
                        l: int, j: int) -> np.ndarray:
-    """i (1 + Y_B) B0^{-1} (e_l x c_j): the rotation identity's right-hand
-    side B^{-1} (curl A^{-1/2} f_lj + s1), from scalar cell data only."""
+    """(1 + Y_B) B0^{-1} (e_l x c_j): the rotation identity's right-hand
+    side B^{-1} (curl A^{-1/2} f_lj + s1) / i, from scalar cell data only."""
     c = matrix_inv_sqrt(a_cell.effective)[:, j]
     h = np.linalg.inv(b_cell.effective) @ np.cross(_EYE3[l], c)
-    return 1j * np.einsum("ij...,j->i...", b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1), h)
+    return np.einsum("ij...,j->i...", b_cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1), h)
 
 
 def corrector_rotation_target(a_cell: CellSolution, b_cell: CellSolution,
                               l: int, j: int) -> VectorField:
-    """Explicit value of B^{-1} curl A^{-1/2} f_lj (field over the cell)."""
+    """Explicit value of B^{-1} curl A^{-1/2} f_lj / i (field over the cell)."""
     s1, _ = vector_cell_sources(a_cell, l, j)
     binv_s1 = matvec_vals(b_cell.coefficient.power_vals(-1.0), s1)
     return VectorField(a_cell.grid, _rotation_constant(a_cell, b_cell, l, j) - binv_s1)
 
 
-def _corrector_identity_slacks(a_cell, b_cell, Lam):
-    """L2 defects (divergence, rotation) of the identities per (l, j), from
-    three de-aliased products per Lambda_l (each covers its three columns)."""
+def _corrector_identity_slacks(a_cell, b_cell, over_i):
+    """L2 defects (divergence, rotation) of the identities / i per (l, j), from
+    three de-aliased products per Lambda_l / i (each covers its three columns)."""
     grid, A = a_cell.grid, a_cell.coefficient
     slacks = np.zeros((2, 3, 3))
     for l in range(3):
-        # div and curl of a matrix field act on its columns f_lj
-        div_act = div_vals(grid, pointwise(A.power(0.5), Lam[l], "mm", dealias=True).values)
-        rot_arg = curl_vals(grid, pointwise(A.power(-0.5), Lam[l], "mm", dealias=True).values)
+        # div and curl of a matrix field act on its columns f_lj / i
+        lam = MatrixField(grid, over_i[l], real=True)
+        div_act = div_vals(grid, pointwise(A.power(0.5), lam, "mm", dealias=True).values)
+        rot_arg = curl_vals(grid, pointwise(A.power(-0.5), lam, "mm", dealias=True).values)
         rot_arg += np.stack([vector_cell_sources(a_cell, l, j)[0] for j in range(3)], axis=1)
         rot_act = pointwise(b_cell.coefficient.inv(), MatrixField(grid, rot_arg), "mm",
                             dealias=True).values
@@ -427,7 +426,7 @@ def _corrector_identity_slacks(a_cell, b_cell, Lam):
 def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
                             l: int, j: int, tol: float = 1e-11,
                             maxiter: int = 10000) -> VectorField:
-    """Independent reconstruction of f_lj from its prescribed curl/div data.
+    """Independent reconstruction of f_lj / i from its prescribed curl/div data.
 
     Route: with C = curl A^{-1/2} f_lj and D = div A^{1/2} f_lj known in
     closed form from the scalar cell data, write A^{-1/2} f = g_C + grad p +
@@ -453,13 +452,9 @@ def reconstruct_vector_cell(a_cell: CellSolution, b_cell: CellSolution,
     apply_op, apply_prec = elliptic_operator(A)
     rhs = -(D.values - div_vals(grid, matvec_vals(av, g_c)))
     rhs = rhs - rhs.mean()
-    # CG on the half spectrum; the complex source by linearity, re + i im
-    f_part = g_c
-    for part, unit in ((rhs.real, 1.0), (rhs.imag, 1j)):
-        ph, _ = pcg(apply_op, rfft_vals(part), apply_prec, tol, maxiter,
-                    context=f"reconstruction l={l} j={j}", dot=half_dot)
-        f_part = f_part + unit * irfft_vals(grid, grad_hat(grid, ph))
-    f_part = matvec_vals(a_sqrt, f_part)
+    ph, _ = pcg(apply_op, rfft_vals(rhs), apply_prec, tol, maxiter,
+                context=f"reconstruction l={l} j={j}", dot=half_dot)
+    f_part = matvec_vals(a_sqrt, g_c + irfft_vals(grid, grad_hat(grid, ph)))
 
     # nullspace basis A^{1/2}(1 + Y_A)e_k and the constant fixing mean f = 0
     basis = np.einsum("im...,mk...->ik...",
@@ -489,6 +484,14 @@ def _opnorm_sq(m_vals: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.einsum("...ji,...jk->...ik", a, a))[..., -1]
 
 
+def _periods(eps: float) -> int:
+    """The period count n of eps = 1/n; ValueError for any other eps."""
+    n = int(round(1.0 / eps))
+    if n < 1 or abs(eps * n - 1.0) > 1e-12:
+        raise ValueError(f"eps must be 1/n, got {eps}")
+    return n
+
+
 def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
                                seed: int, max_mode: int = 4,
                                margin: float = 0.25) -> MultiplierBounds:
@@ -496,7 +499,7 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
 
     beta1 = 2 mean(|Y|^2) (1 + margin); beta2 is fit as the smallest slope
     that covers a seeded calibration set of band-limited fields at the given
-    eps values, inflated by the same margin.
+    eps values (each 1/n), inflated by the same margin.
     """
     from .harness import random_band_vector  # harness imports this module
     grid = cell.grid
@@ -506,7 +509,7 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
     rng = np.random.default_rng(seed)
     need = 0.0
     for eps in eps_list:
-        n = int(round(1.0 / eps))
+        n = _periods(eps)
         yeps2 = gather_nodes(y2, rescale_index(grid, n, grid))
         for _ in range(n_samples):
             u = random_band_vector(grid, max_mode, rng, decay=1.0, zero_mean=False)
@@ -534,9 +537,7 @@ def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
     for a band-limited u on a torus grid commensurate with eps = 1/n, and
     assert it.  Returns (lhs, rhs).
     """
-    n = int(round(1.0 / eps))
-    if abs(eps * n - 1.0) > 1e-12:
-        raise ValueError(f"eps must be 1/n, got {eps}")
+    n = _periods(eps)
     grid = u.grid
     yeps2 = gather_nodes(_opnorm_sq(Y.values), rescale_index(Y.grid, n, grid))
     lhs, unorm2, gn2 = (float(grid.cell_volume * t)

@@ -58,6 +58,7 @@ from .fields import (
     div_hat,
     div_vals,
     divergence,
+    gather_nodes,
     grad_hat,
     half_dot,
     irfft_vals,
@@ -65,6 +66,7 @@ from .fields import (
     l2_norm_vals,
     matvec_vals,
     mean,
+    rescale_index,
     rescale_periodic,
     rfft_vals,
     spectral_map,
@@ -333,17 +335,17 @@ def effective_level_fields(phi_level: VectorField, eta0, mu0,
 
 
 def first_order_approx(phi0: VectorField, correction: VectorField,
-                       cell: CellSolution, correctors: CorrectorSet,
-                       mult: SteklovMultiplier, eps: float,
-                       branch: str) -> VectorField:
+                       correctors: CorrectorSet,
+                       mult: SteklovMultiplier) -> VectorField:
     """First-order approximation psi of the symmetrized unknown.
 
     psi = W*^eps S_eps (phi0 + corr) + eps sum_l Lambda_l^eps S_eps D_l
-    (phi0 + corr) with D_l = -i d_l; the eps-rescaled corrector fields are
-    exact nodal resamplings.
+    (phi0 + corr) with D_l = -i d_l, W* of `correctors.a_cell` and eps of
+    `mult`.  As Lambda_l D_l = (Lambda_l / i) d_l, psi keeps the dtype of the
+    base (run_maxwell passes phi0 / i and corr / i); the eps-rescaled cell
+    fields are exact nodal resamplings.
     """
-    branch_pair(branch, None, None)  # rejects an unknown branch
-    g = phi0.grid
+    g, eps = phi0.grid, mult.eps
     n = int(round(1.0 / eps))
     half = mult.values[..., : g.n[2] // 2 + 1]
 
@@ -352,11 +354,11 @@ def first_order_approx(phi0: VectorField, correction: VectorField,
         return np.stack([sb] + [1j * g.freq_half[l] * sb for l in range(3)])
 
     sm = spectral_map(g, add(phi0, correction).values, smooth_and_grad)
-    weps = rescale_periodic(cell.Wstar, n, g)
+    weps = rescale_periodic(correctors.a_cell.Wstar, n, g)
+    lam = gather_nodes(correctors.over_i, rescale_index(correctors.grid, n, g))
     psi = matvec_vals(weps.values, sm[0])
     for l in range(3):
-        lam = rescale_periodic(correctors.Lambda[l], n, g)
-        psi = psi + eps * matvec_vals(lam.values, -1j * sm[1 + l])  # D_l = -i d_l
+        psi = psi + eps * matvec_vals(lam[l], sm[1 + l])
     return VectorField(g, psi)
 
 
@@ -394,8 +396,7 @@ def _read_times_i(key: str) -> property:
 class MaxwellSolution:
     """Everything produced by one eps run (one or both branches): phi as
     solve_symmetrized returns it, and the seven families read below, stored
-    once in `over_i` divided by i (float64 for a real source, psi excepted:
-    the correctors are complex); each read applies the factor i."""
+    once in `over_i` divided by i (float64 for a real source), read times i."""
 
     problem: MaxwellProblem
     branches: list[str]
@@ -471,9 +472,7 @@ def run_maxwell(problem: MaxwellProblem, cell_eta: CellSolution,
         diag["rhs_eps_norm"] = l2_norm(ceps)
         diag["rhs_eps_bound"] = sup * sup_inv * l2_norm(src)
         if correctors is not None and b in correctors:
-            psi[b] = first_order_approx(phi0[b], corr_phi[b],
-                                        branch_pair(b, cell_eta, cell_mu)[0],
-                                        correctors[b], mult, problem.eps, b)
+            psi[b] = first_order_approx(phi0[b], corr_phi[b], correctors[b], mult)
             diag["psi_error"] = l2_norm_vals(g, x.values - psi[b].values)
             diag["psi_rel_error"] = diag["psi_error"] / max(l2_norm(x), 1e-300)
         diagnostics["per_branch"][b] = diag

@@ -205,7 +205,7 @@ def test_vector_cell_dual_route(cell_eta, cell_mu):
     cs = mh.solve_vector_cell(cell_eta, cell_mu, "r", tol=1e-11)
     for l, j in ((0, 0), (0, 1), (2, 1)):
         rec = reconstruct_vector_cell(cs.a_cell, cs.b_cell, l, j)
-        diff = F.l2_norm(F.sub(cs.f[l][j], rec))
+        diff = F.l2_norm(F.sub(F.VectorField(cs.grid, cs.over_i[l, :, j]), rec))
         assert diff < 1e-6, (l, j, diff)
 
 
@@ -261,14 +261,16 @@ def test_invalid_tol_rejected(grid16, tol):
 
 
 def test_correctors_stored_once(correctors_r):
-    # every f_lj is a view of column j of Lambda_l, not a second copy
-    assert np.max(correctors_r.iterations) > 0
+    # the nine f_lj / i are one float64 array; f and Lambda are reads of it
+    cs = correctors_r
+    assert np.max(cs.iterations) > 0
+    assert cs.over_i.dtype == np.float64
+    assert cs.over_i.shape == (3, 3, 3) + cs.grid.n
     for l in range(3):
-        lam = correctors_r.Lambda[l].values
+        lam = cs.Lambda[l].values
+        assert np.array_equal(lam, 1j * cs.over_i[l])
         for j in range(3):
-            f = correctors_r.f[l][j].values
-            assert np.shares_memory(f, lam)
-            assert np.array_equal(f, lam[:, j])
+            assert np.array_equal(cs.f[l][j].values, lam[:, j])
 
 
 def test_vector_cell_constant_pair_diagnostics(grid16):
@@ -317,7 +319,8 @@ def test_div_slack_matches_per_column_recomputation():
     ce, cm = _matrix_pair_cells(16)
     cs = mh.solve_vector_cell(ce, cm, "q", tol=1e-9)
     l, j = 1, 2
-    sf = F.pointwise(ce.coefficient.power(0.5), cs.f[l][j], "mv", dealias=True)
+    sf = F.pointwise(ce.coefficient.power(0.5), F.VectorField(cs.grid, cs.over_i[l, :, j]),
+                     "mv", dealias=True)
     per_column = F.l2_norm(F.sub(F.divergence(sf),
                                  corrector_divergence_target(ce, l, j)))
     assert abs(cs.div_slack[l, j] - per_column) <= 1e-14
@@ -399,3 +402,40 @@ def test_multiplier_bounds_match_inline_reference(cell_matrix_eta):
     assert need > 0  # beta2 is fit, not floored at zero
     assert (got.beta1, got.c_hat) == (beta1, c_hat)
     assert got.beta2 == need * (1.0 + margin)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.26])
+def test_multiplier_functions_reject_an_eps_not_one_over_n(cell_eta, grid32, eps):
+    with pytest.raises(ValueError, match="1/n"):
+        mh.estimate_multiplier_bounds(cell_eta, [eps], 2, seed=0)
+    bounds = mh.estimate_multiplier_bounds(cell_eta, [0.25], 2, seed=0)
+    with pytest.raises(ValueError, match="1/n"):
+        mh.multiplier_check(cell_eta.Y, random_band_vector(grid32, 4, 1), eps, bounds)
+
+
+def test_reconstruction_runs_one_cg_per_column(cell_eta, cell_mu, monkeypatch):
+    # f_lj / i has a real source: one CG, no second one on a zero part
+    import maxhom.cell as cell_mod
+    from maxhom.solvers import pcg
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["context"])
+        return pcg(*args, **kwargs)
+
+    monkeypatch.setattr(cell_mod, "pcg", counting)
+    for l, j in ((0, 1), (2, 2)):
+        calls.clear()
+        rec = reconstruct_vector_cell(cell_mu, cell_eta, l, j)
+        assert calls == [f"reconstruction l={l} j={j}"]
+        assert rec.values.dtype == np.float64
+
+
+def test_reading_a_corrector_never_changes_it(correctors_r):
+    cs = correctors_r
+    first = cs.over_i.copy()
+    for l in range(3):
+        cs.Lambda[l].values[...] = 0
+        for j in range(3):
+            cs.f[l][j].values[...] = 0
+    assert np.array_equal(cs.over_i, first)

@@ -380,7 +380,7 @@ def test_first_order_approx_constant_coefficients(grid16):
     phi0 = mh.solve_effective(prob, ce.effective, cm.effective, "r", rhs0)
     zero = F.VectorField(grid16, np.zeros((3,) + grid16.n, dtype=complex))
     mult = steklov_multiplier(grid16.lattice, grid16, 0.25)
-    psi = mh.first_order_approx(phi0, zero, cm, cs, mult, 0.25, "r")
+    psi = mh.first_order_approx(phi0, zero, cs, mult)
     # W* = 1 and Lambda = 0, so psi = S_eps phi0 and the identity-approach
     # bound applies
     err = F.l2_norm(F.sub(psi, phi0))
@@ -400,8 +400,7 @@ def test_first_order_corrector_term_improves_energy(grid32, trig_eta, trig_mu,
     psi = sol.psi["r"]
     mult = steklov_multiplier(grid32.lattice, grid32, prob.eps)
     psi0 = mh.first_order_approx(
-        sol.phi0["r"], sol.correction_phi["r"], cell_mu,
-        _zero_correctors(correctors_r), mult, prob.eps, "r")
+        sol.phi0["r"], sol.correction_phi["r"], _zero_correctors(correctors_r), mult)
     mu_is = prob.mu_eps.power(-0.5).values
 
     def energy_err(p):
@@ -415,8 +414,7 @@ def test_first_order_corrector_term_improves_energy(grid32, trig_eta, trig_mu,
 def _zero_correctors(cs):
     import copy
     out = copy.copy(cs)
-    out.Lambda = [F.MatrixField(cs.grid, np.zeros_like(l.values))
-                  for l in cs.Lambda]
+    out.over_i = np.zeros_like(cs.over_i)
     return out
 
 
@@ -505,7 +503,7 @@ def test_first_order_approx_single_period_composition(grid16):
     phi0 = random_band_vector(grid16, 3, 62)
     rho = random_band_vector(grid16, 3, 63)
     mult = steklov_multiplier(grid16.lattice, grid16, 1.0)
-    psi = mh.first_order_approx(phi0, rho, cm, cs, mult, 1.0, "r")
+    psi = mh.first_order_approx(phi0, rho, cs, mult)
     base = F.add(phi0, rho)
     sm = steklov_apply(base, mult)
     expect = F.matvec_vals(cm.Wstar.values, sm.values)
@@ -761,7 +759,7 @@ def test_first_order_approx_complex_base_matches_c2c(grid16):
     phi0 = random_band_vector(grid16, 3, 62)
     rho = F.VectorField(grid16, 1j * random_band_vector(grid16, 3, 63).values)
     mult = steklov_multiplier(grid16.lattice, grid16, 1.0)
-    psi = mh.first_order_approx(phi0, rho, cm, cs, mult, 1.0, "r")
+    psi = mh.first_order_approx(phi0, rho, cs, mult)
     base = F.add(phi0, rho)
     bh = F.fftn(base.values)
     expect = F.matvec_vals(cm.Wstar.values, F.ifftn(bh * mult.values))
@@ -840,8 +838,7 @@ def test_field_helpers_commute_with_the_factor_i(grid16, trig_eta, trig_mu,
                 _assert_times_i(got[n], base[n])
     mult = steklov_multiplier(grid16.lattice, grid16, 0.5)
     got, base = (mh.first_order_approx(F.VectorField(grid16, c * x),
-                                       F.VectorField(grid16, c * y), cell_mu,
-                                       correctors_r, mult, 0.5, "r")
+                                       F.VectorField(grid16, c * y), correctors_r, mult)
                  for c in (1j, 1.0))
     _assert_times_i(got, base)
 
@@ -947,8 +944,7 @@ def test_reading_a_value_never_changes_the_solution(real_source_solution):
 
 
 def test_solution_stores_only_the_real_quotient(real_source_solution):
-    # phi is the symmetrized solve's own result, and psi / i is complex with a
-    # zero imaginary part because the correctors Lambda are stored complex
+    # phi is the symmetrized solve's own result
     def arrays(node):
         if isinstance(node, F.Field):
             yield node.values
@@ -956,12 +952,13 @@ def test_solution_stores_only_the_real_quotient(real_source_solution):
             yield node
         elif isinstance(node, dict):
             for key, value in node.items():
-                if key not in ("problem", "phi", "psi"):
+                if key not in ("problem", "phi"):
                     yield from arrays(value)
 
     stored = list(arrays(vars(real_source_solution)))
-    # phi0 and correction_phi per branch, four fields in each of four families
-    assert len(stored) == 2 + 2 + 4 * 4
+    # phi0 and correction_phi per branch, psi of branch r, four fields in each
+    # of four families
+    assert len(stored) == 2 + 2 + 1 + 4 * 4
     assert all(a.dtype == np.float64 for a in stored)
 
 
@@ -993,3 +990,12 @@ def test_complex_source_solves_by_linearity(grid16, trig_eta, trig_mu):
     assert abs(rel - diag["true_residual"]) <= 1e-3 * tol
     assert leak <= 10.0 * tol * F.l2_norm_vals(grid16, s)
     assert diag["leakage_rel"] <= 10.0 * tol
+
+
+def test_first_order_approx_of_a_real_base_is_float64(grid16, correctors_r):
+    # Lambda_l D_l = (Lambda_l / i) d_l: a real base stays in real arithmetic
+    x = random_band_vector(grid16, 4, 75)
+    y = random_band_vector(grid16, 4, 76)
+    psi = mh.first_order_approx(x, y, correctors_r,
+                                steklov_multiplier(grid16.lattice, grid16, 0.5))
+    assert psi.values.dtype == np.float64
