@@ -127,27 +127,27 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
         ph, info = pcg(apply_op, div_hat(grid, rfft_vals(av[:, j])), apply_prec, tol,
                        maxiter, context=f"scalar cell j={j}", dot=half_dot)
         infos.append(info)
-        potentials.append(ScalarField(grid, irfft_vals(grid, ph), real=True))
+        potentials.append(ScalarField(grid, irfft_vals(grid, ph)))
         grads.append(irfft_vals(grid, grad_hat(grid, ph)))
 
     y_vals = np.stack([np.stack([grads[j][i] for j in range(3)])
                        for i in range(3)])
-    Y = MatrixField(grid, y_vals, real=True)
+    Y = MatrixField(grid, y_vals)
     tilde_vals = np.einsum("ik...,kj...->ij...", av, y_vals + _EYE3.reshape(3, 3, 1, 1, 1))
-    tilde = MatrixField(grid, tilde_vals, real=True)
+    tilde = MatrixField(grid, tilde_vals)
     eff_raw = mean(tilde)
     effective = 0.5 * (eff_raw + eff_raw.T)
     asym = float(np.max(np.abs(eff_raw - eff_raw.T)))
     g_vals = np.einsum("ij...,jk->ik...", tilde_vals, np.linalg.inv(effective))
     g_vals = g_vals - _EYE3.reshape(3, 3, 1, 1, 1)
-    G = MatrixField(grid, g_vals, real=True)
+    G = MatrixField(grid, g_vals)
     w_vals = np.einsum(
         "ij...,jk...,kl->il...",
         a.power_vals(0.5),
         y_vals + _EYE3.reshape(3, 3, 1, 1, 1),
         matrix_inv_sqrt(effective),
     )
-    Wstar = MatrixField(grid, w_vals, real=True)
+    Wstar = MatrixField(grid, w_vals)
     residuals = np.array([inf.residual for inf in infos])
     return CellSolution(
         coefficient=a,
@@ -178,8 +178,7 @@ def cell_identity_slacks(cell: CellSolution, dealias: bool = True) -> dict:
     out["mean_G"] = float(np.max(np.abs(mean(cell.G))))
 
     if dealias:
-        one_plus_y = MatrixField(
-            grid, cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1), real=True)
+        one_plus_y = MatrixField(grid, cell.Y.values + _EYE3.reshape(3, 3, 1, 1, 1))
         tilde = pointwise(a.matrix, one_plus_y, "mm", dealias=True)
     else:
         tilde = cell.tilde
@@ -409,7 +408,7 @@ def _corrector_identity_slacks(a_cell, b_cell, over_i):
     slacks = np.zeros((2, 3, 3))
     for l in range(3):
         # div and curl of a matrix field act on its columns f_lj / i
-        lam = MatrixField(grid, over_i[l], real=True)
+        lam = MatrixField(grid, over_i[l])
         div_act = div_vals(grid, pointwise(A.power(0.5), lam, "mm", dealias=True).values)
         rot_arg = curl_vals(grid, pointwise(A.power(-0.5), lam, "mm", dealias=True).values)
         rot_arg += np.stack([vector_cell_sources(a_cell, l, j)[0] for j in range(3)], axis=1)
@@ -484,9 +483,12 @@ def _opnorm_sq(m_vals: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.einsum("...ji,...jk->...ik", a, a))[..., -1]
 
 
-def _periods(eps: float) -> int:
+def period_count(eps: float) -> int:
     """The period count n of eps = 1/n; ValueError for any other eps."""
-    n = int(round(1.0 / eps))
+    try:
+        n = int(round(1.0 / float(eps)))
+    except (ZeroDivisionError, OverflowError, ValueError):  # eps 0, tiny, nan
+        n = 0
     if n < 1 or abs(eps * n - 1.0) > 1e-12:
         raise ValueError(f"eps must be 1/n, got {eps}")
     return n
@@ -509,7 +511,7 @@ def estimate_multiplier_bounds(cell: CellSolution, eps_list, n_samples: int,
     rng = np.random.default_rng(seed)
     need = 0.0
     for eps in eps_list:
-        n = _periods(eps)
+        n = period_count(eps)
         yeps2 = gather_nodes(y2, rescale_index(grid, n, grid))
         for _ in range(n_samples):
             u = random_band_vector(grid, max_mode, rng, decay=1.0, zero_mean=False)
@@ -537,7 +539,7 @@ def multiplier_check(Y: MatrixField, u: VectorField, eps: float,
     for a band-limited u on a torus grid commensurate with eps = 1/n, and
     assert it.  Returns (lhs, rhs).
     """
-    n = _periods(eps)
+    n = period_count(eps)
     grid = u.grid
     yeps2 = gather_nodes(_opnorm_sq(Y.values), rescale_index(Y.grid, n, grid))
     lhs, unorm2, gn2 = (float(grid.cell_volume * t)

@@ -1,10 +1,11 @@
 """Periodic grid fields with exact spectral calculus.
 
 Fields are samples on a :class:`~maxhom.lattice.GridSpec`, stored as float64
-when real and complex128 otherwise; a scalar field stores shape (n1, n2, n3),
-a vector field (3, n1, n2, n3), and a matrix field (3, 3, n1, n2, n3).  All
-calculus (gradient, divergence, curl) acts on the trigonometric interpolant
-and is therefore exact on band-limited data; there are no finite differences.
+when real and complex128 otherwise; that dtype is the one record of whether a
+field is real.  A scalar field stores shape (n1, n2, n3), a vector field
+(3, n1, n2, n3), and a matrix field (3, 3, n1, n2, n3).  All calculus
+(gradient, divergence, curl) acts on the trigonometric interpolant and is
+therefore exact on band-limited data; there are no finite differences.
 
 The raw-array ``*_vals`` functions are the one implementation of the
 calculus; the :class:`Field` functions wrap them, and every operator, symbol,
@@ -101,10 +102,9 @@ def ifftn(values: np.ndarray) -> np.ndarray:
 @dataclass
 class Field:
     """Grid samples, stored as float64 when their dtype is real, else as
-    complex128; the `real` flag is what `check_real` asserts, not the storage."""
+    complex128; the dtype is the one record of whether a field is real."""
     grid: GridSpec
     values: np.ndarray
-    real: bool = False
 
     RANK_SHAPE: ClassVar[tuple] = ()
 
@@ -116,17 +116,6 @@ class Field:
             raise ValueError(
                 f"{type(self).__name__} expects shape {expect}, got {self.values.shape}"
             )
-
-    def check_real(self, rtol: float = 1e-10) -> float:
-        """Max imaginary part relative to the sup-norm; asserts the `real` flag."""
-        sup = np.max(np.abs(self.values))
-        rel = 0.0 if sup == 0 else np.max(np.abs(self.values.imag)) / sup
-        if self.real and rel > rtol:
-            raise ValueError(f"field flagged real has relative imag part {rel:.3e}")
-        return rel
-
-    def _like(self, values, real=None):
-        return type(self)(self.grid, values, self.real if real is None else real)
 
 
 class ScalarField(Field):
@@ -141,8 +130,8 @@ class MatrixField(Field):
     RANK_SHAPE: ClassVar[tuple] = (3, 3)
 
 
-def scalar_from_function(grid: GridSpec, fn, real=True) -> ScalarField:
-    return ScalarField(grid, fn(grid.coords()), real=real)
+def scalar_from_function(grid: GridSpec, fn) -> ScalarField:
+    return ScalarField(grid, fn(grid.coords()))
 
 
 def _check_same_grid(a: Field, b) -> None:
@@ -248,24 +237,24 @@ def const_matvec_vals(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField(f.grid, grad_vals(f.grid, f.values), real=f.real)
+    return VectorField(f.grid, grad_vals(f.grid, f.values))
 
 
 def divergence(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, div_vals(v.grid, v.values), real=v.real)
+    return ScalarField(v.grid, div_vals(v.grid, v.values))
 
 
 def curl(v: VectorField) -> VectorField:
-    return VectorField(v.grid, curl_vals(v.grid, v.values), real=v.real)
+    return VectorField(v.grid, curl_vals(v.grid, v.values))
 
 
 def mean(f: Field):
     """Cell average |Omega|^-1 int f dx (zero-frequency Fourier coefficient).
 
-    Returns a scalar / length-3 vector / (3, 3) matrix according to rank.
+    Returns a scalar / length-3 vector / (3, 3) matrix according to rank,
+    of the dtype of the samples.
     """
-    m = f.values.reshape(f.RANK_SHAPE + (-1,)).mean(axis=-1)
-    return m.real if f.real else m
+    return f.values.reshape(f.RANK_SHAPE + (-1,)).mean(axis=-1)
 
 
 def l2_norm_vals(grid: GridSpec, vals: np.ndarray) -> float:
@@ -347,7 +336,7 @@ def pointwise(a: Field, b: Field, spec: str, dealias: bool = False) -> Field:
         vals = _product_values(a.values, b.values, spec)
     cls = {"ss": ScalarField, "sv": VectorField, "mv": VectorField,
            "mm": MatrixField}[spec]
-    return cls(g, vals, real=a.real and b.real)
+    return cls(g, vals)
 
 
 def matvec(m: MatrixField, v: VectorField, dealias: bool = False) -> VectorField:
@@ -356,19 +345,17 @@ def matvec(m: MatrixField, v: VectorField, dealias: bool = False) -> VectorField
 
 def const_matvec(m, v: VectorField) -> VectorField:
     """Constant 3x3 matrix applied to a vector field."""
-    m = np.asarray(m)
-    return VectorField(v.grid, const_matvec_vals(m, v.values),
-                       real=v.real and np.isrealobj(m))
+    return VectorField(v.grid, const_matvec_vals(np.asarray(m), v.values))
 
 
 def add(a: Field, b: Field) -> Field:
     _check_same_grid(a, b)
-    return a._like(a.values + b.values, real=a.real and b.real)
+    return type(a)(a.grid, a.values + b.values)
 
 
 def sub(a: Field, b: Field) -> Field:
     _check_same_grid(a, b)
-    return a._like(a.values - b.values, real=a.real and b.real)
+    return type(a)(a.grid, a.values - b.values)
 
 
 def rescale_index(cell: GridSpec, n_periods: int, torus: GridSpec) -> np.ndarray:
@@ -410,7 +397,7 @@ def rescale_periodic(f: Field, n_periods: int, torus: GridSpec) -> Field:
     """Exact nodal samples of x -> f(x / eps), eps = 1/n_periods, on a torus
     grid commensurate with the cell grid of f (see :func:`rescale_index`)."""
     vals = gather_nodes(f.values, rescale_index(f.grid, n_periods, torus))
-    return type(f)(torus, vals, real=f.real)
+    return type(f)(torus, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +411,7 @@ _EIG_FLOOR = 1e-8  # coefficients with smaller eigenvalues are rejected
 class CoefficientField:
     """Symmetric positive definite matrix-valued coefficient on a grid.
 
-    The constructor checks the real samples (finite, symmetric, eigenvalues
+    The constructor checks the samples (finite, real, symmetric, eigenvalues
     above the floor) and evaluates the matrix functions of `POWERS`
     (a^{1/2}, a^{-1/2}, a^{-1}) once, by a per-node eigendecomposition.  It
     keeps them, the float64 samples `values` (3, 3, n1, n2, n3) and the
@@ -445,6 +432,8 @@ class CoefficientField:
         vals = np.array(samples.values)
         if not np.all(np.isfinite(vals)):
             raise SingularPoint("coefficient has non-finite samples")
+        if np.iscomplexobj(vals) and np.any(vals.imag):
+            raise ValueError("coefficient has samples with a nonzero imaginary part")
         asym = np.max(np.abs(vals - np.swapaxes(vals, 0, 1)))
         ref = np.max(np.abs(vals))
         if asym > 1e-12 * max(ref, 1.0):
@@ -479,7 +468,7 @@ class CoefficientField:
 
     @property
     def matrix(self) -> MatrixField:
-        return MatrixField(self.grid, self.values, real=True)
+        return MatrixField(self.grid, self.values)
 
     def mean_matrix(self) -> np.ndarray:
         """Cell mean of the coefficient, a real (3, 3) matrix."""
@@ -492,7 +481,7 @@ class CoefficientField:
         return self._powers[p]
 
     def power(self, p: float) -> MatrixField:
-        return MatrixField(self.grid, self.power_vals(p), real=True)
+        return MatrixField(self.grid, self.power_vals(p))
 
     def inv(self) -> MatrixField:
         return self.power(-1.0)
@@ -525,28 +514,27 @@ _FLAG_REAL = 1
 
 def write_field(path, f: Field) -> None:
     """Field dump: little-endian header (magic, rank, n1, n2, n3, flags)
-    followed by the row-major complex samples as (re, im) float64 pairs."""
-    rank = _RANK_OF[type(f)]
-    flags = _FLAG_REAL if f.real else 0
-    header = struct.pack("<4sIIIII", _MAGIC, rank, *f.grid.n, flags)
-    data = np.ascontiguousarray(f.values, dtype="<c16")
+    followed by the row-major complex samples as (re, im) float64 pairs.
+    Bit 0 of flags is set when no sample has a nonzero imaginary part."""
+    v = f.values
+    flags = _FLAG_REAL if np.isrealobj(v) or not np.any(v.imag) else 0
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(struct.pack("<4sIIIII", _MAGIC, _RANK_OF[type(f)], *f.grid.n, flags))
+        fh.write(np.ascontiguousarray(v, dtype="<c16").tobytes())
 
 
 def read_field(path, grid: GridSpec) -> Field:
+    """Field of an MXHF dump: float64 samples when flags bit 0 is set (every
+    imaginary part is zero, so nothing is lost), complex128 otherwise."""
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        magic, rank, n1, n2, n3, flags = struct.unpack("<4sIIIII", header)
+        magic, rank, n1, n2, n3, flags = struct.unpack("<4sIIIII", fh.read(24))
         if magic != _MAGIC:
             raise ValueError(f"not an MXHF file: magic {magic!r}")
         if (n1, n2, n3) != grid.n:
             raise GridMismatch(f"file grid {(n1, n2, n3)} vs {grid.n}")
         cls = _CLS_OF_RANK[rank]
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-    vals = raw.reshape(cls.RANK_SHAPE + grid.n)
-    return cls(grid, vals.copy(), real=bool(flags & _FLAG_REAL))
+        vals = np.frombuffer(fh.read(), dtype="<c16").reshape(cls.RANK_SHAPE + grid.n)
+    return cls(grid, (vals.real if flags & _FLAG_REAL else vals).copy())
 
 
 def export_slice_csv(path, f: Field, axis: int = 0, component=None) -> None:

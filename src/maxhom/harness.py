@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields as dc_fields
 import numpy as np
 from scipy import integrate
 
-from .cell import CellSolution, requested_branches, solve_scalar_cell
+from .cell import CellSolution, period_count, requested_branches, solve_scalar_cell
 from .fields import (
     CoefficientField,
     MatrixField,
@@ -83,7 +83,7 @@ def smoothed_pulse(t: np.ndarray, fill: float, width: float) -> np.ndarray:
 def _isotropic(grid: GridSpec, profile: np.ndarray) -> CoefficientField:
     vals = np.zeros((3, 3) + grid.n)
     vals[range(3), range(3)] = profile
-    return CoefficientField(MatrixField(grid, vals, real=True))
+    return CoefficientField(MatrixField(grid, vals))
 
 
 def _axis(value) -> int:
@@ -155,7 +155,7 @@ def generate_coefficient(desc: CoefficientDescriptor,
             d = base[kdir] * (
                 1.0 + amp * np.cos(2 * np.pi * modes[kdir] * t[kdir] + phases[kdir]))
             vals += np.einsum("i,j,...->ij...", qmat[:, kdir], qmat[:, kdir], d)
-        return CoefficientField(MatrixField(grid, vals, real=True))
+        return CoefficientField(MatrixField(grid, vals))
 
     if desc.kind == "checkerboard_smoothed":
         width = float(p.get("width", 0.08))
@@ -253,13 +253,13 @@ def random_band_vector(grid: GridSpec, max_mode: int, seed: int,
     if not np.isfinite(norm2):
         raise InvalidParams(f"source decay {decay} gives a field whose norm is not a "
                             f"finite float (max_mode {max_mode})")
-    return VectorField(grid, vals, real=True)
+    return VectorField(grid, vals)
 
 
 def random_band_scalar(grid: GridSpec, max_mode: int, seed: int,
                        decay: float = 0.5) -> ScalarField:
     v = random_band_vector(grid, max_mode, seed, decay, zero_mean=False)
-    return ScalarField(grid, v.values[0], real=True)
+    return ScalarField(grid, v.values[0])
 
 
 def random_divfree_field(grid: GridSpec, max_mode: int, seed: int,
@@ -341,11 +341,9 @@ def loglog_fit(eps_list, errors) -> tuple[float, float]:
 def eps_periods(eps: float, grid_n) -> int:
     """The period count n of eps = 1/n; n must divide the grid per axis."""
     try:
-        n = int(round(1.0 / eps))
-    except (ZeroDivisionError, OverflowError, ValueError):  # eps 0, tiny, nan
-        n = 0
-    if n < 1 or abs(n * eps - 1.0) > 1e-12:
-        raise InvalidParams(f"eps {eps} is not of the form 1/n")
+        n = period_count(eps)
+    except ValueError:
+        raise InvalidParams(f"eps {eps} is not of the form 1/n") from None
     if any(nk % n for nk in grid_n):
         raise InvalidParams(f"1/eps = {n} does not divide grid {tuple(grid_n)}")
     return n

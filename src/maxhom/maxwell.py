@@ -47,7 +47,7 @@ import numpy as np
 from dataclasses import dataclass, field as dc_field
 
 from .cell import (BranchError, CellSolution, CorrectorSet, branch_pair,
-                   requested_branches)
+                   period_count, requested_branches)
 from .fields import (
     CoefficientField,
     MatrixField,
@@ -153,7 +153,7 @@ def leray_project_weighted(f: VectorField, s0) -> VectorField:
     def project(fh):
         return fh - s0k * guarded_div(np.einsum("i...,i...->...", k, fh), denom)
 
-    return VectorField(g, spectral_map(g, f.values, project), real=f.real)
+    return VectorField(g, spectral_map(g, f.values, project))
 
 
 def correction_rhs(problem: MaxwellProblem, Y_eta: MatrixField,
@@ -346,7 +346,7 @@ def first_order_approx(phi0: VectorField, correction: VectorField,
     fields are exact nodal resamplings.
     """
     g, eps = phi0.grid, mult.eps
-    n = int(round(1.0 / eps))
+    n = period_count(eps)
     half = mult.values[..., : g.n[2] // 2 + 1]
 
     def smooth_and_grad(bh):  # S_eps base and S_eps d_l base, stacked

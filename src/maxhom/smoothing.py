@@ -87,4 +87,4 @@ def steklov_apply(u: Field, mult: SteklovMultiplier) -> Field:
     if not u.grid.compatible(mult.grid):
         raise GridMismatch("field grid does not match multiplier grid")
     half = mult.values[..., : u.grid.n[2] // 2 + 1]
-    return u._like(spectral_map(u.grid, u.values, lambda uh: uh * half))
+    return type(u)(u.grid, spectral_map(u.grid, u.values, lambda uh: uh * half))

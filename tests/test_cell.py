@@ -73,8 +73,7 @@ def test_scaling_covariance(grid16):
         "trig_isotropic", {"base": 2.0, "amplitude": 0.8})
     a = mh.generate_coefficient(desc, grid16)
     cell = mh.solve_scalar_cell(a, tol=1e-11)
-    a3 = F.CoefficientField(F.MatrixField(grid16, 3.0 * a.matrix.values,
-                                          real=True))
+    a3 = F.CoefficientField(F.MatrixField(grid16, 3.0 * a.matrix.values))
     cell3 = mh.solve_scalar_cell(a3, tol=1e-11)
     assert np.allclose(cell3.effective, 3.0 * cell.effective, atol=1e-9)
     assert np.max(np.abs(cell3.Y.values - cell.Y.values)) < 1e-9
@@ -224,20 +223,17 @@ def test_multiplier_check(cell_eta, grid32):
     assert bounds.beta1 > 0
     assert bounds.c_hat > 0
     # zero corrector: lhs = 0 <= rhs
-    zero_y = F.MatrixField(grid32, np.zeros((3, 3) + grid32.n, dtype=complex),
-                           real=True)
+    zero_y = F.MatrixField(grid32, np.zeros((3, 3) + grid32.n, dtype=complex))
     u = random_band_vector(grid32, 4, 1)
     lhs, rhs = mh.multiplier_check(zero_y, u, 0.25, bounds)
     assert lhs == 0.0 and rhs > 0
     # constant field: lhs = mean(|Y_eps|^2) |u|^2 |Omega|, gradient term
     # inactive; the eps-sampled mean agrees with the cell mean up to the
     # subsampling truncation of the smooth coefficient
-    c = F.VectorField(grid32, np.ones((3,) + grid32.n, dtype=complex),
-                      real=True)
+    c = F.VectorField(grid32, np.ones((3,) + grid32.n, dtype=complex))
     lhs, rhs = mh.multiplier_check(cell_eta.Y, c, 0.5, bounds)
     from maxhom.cell import _opnorm_sq
-    y2 = F.ScalarField(grid32, _opnorm_sq(cell_eta.Y.values).astype(complex),
-                       real=True)
+    y2 = F.ScalarField(grid32, _opnorm_sq(cell_eta.Y.values).astype(complex))
     y2_eps = F.rescale_periodic(y2, 2, grid32)
     expect = float(np.mean(y2_eps.values.real)) * 3.0 * grid32.cell_volume
     assert lhs == pytest.approx(expect, rel=1e-12)
@@ -439,3 +435,12 @@ def test_reading_a_corrector_never_changes_it(correctors_r):
         for j in range(3):
             cs.f[l][j].values[...] = 0
     assert np.array_equal(cs.over_i, first)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-320, float("nan")])
+def test_multiplier_functions_raise_value_error_for_a_degenerate_eps(cell_eta, grid32, eps):
+    with pytest.raises(ValueError, match="1/n"):
+        mh.estimate_multiplier_bounds(cell_eta, [eps], 2, seed=0)
+    bounds = mh.estimate_multiplier_bounds(cell_eta, [0.25], 2, seed=0)
+    with pytest.raises(ValueError, match="1/n"):
+        mh.multiplier_check(cell_eta.Y, random_band_vector(grid32, 4, 1), eps, bounds)

@@ -39,13 +39,13 @@ def test_derivative_means_vanish(grid16):
 def test_mixed_partials_commute(grid16):
     f = random_band_scalar(grid16, 5, 7)
     g = F.gradient(f)
-    d01 = F.gradient(F.ScalarField(grid16, g.values[0], real=True)).values[1]
-    d10 = F.gradient(F.ScalarField(grid16, g.values[1], real=True)).values[0]
+    d01 = F.gradient(F.ScalarField(grid16, g.values[0])).values[1]
+    d10 = F.gradient(F.ScalarField(grid16, g.values[1])).values[0]
     assert np.max(np.abs(d01 - d10)) < 1e-10 * max(1.0, np.max(np.abs(d01)))
 
 
 def test_mean_examples(grid16):
-    c = F.ScalarField(grid16, np.full(grid16.n, 4.2 + 0j), real=True)
+    c = F.ScalarField(grid16, np.full(grid16.n, 4.2 + 0j))
     assert F.mean(c) == pytest.approx(4.2)
     s = F.scalar_from_function(grid16, lambda x: np.sin(2 * np.pi * x[0]))
     assert abs(F.mean(s)) < 1e-14
@@ -95,8 +95,8 @@ def test_dealiased_product_is_exact(grid16):
     x = grid16.coords()
     # modes 5 and 6: the product mode 11 aliases on a 16-grid but is exact
     # on the padded 32-grid
-    a = F.ScalarField(grid16, np.cos(2 * np.pi * 5 * x[0]) + 0j, real=True)
-    b = F.ScalarField(grid16, np.cos(2 * np.pi * 6 * x[0]) + 0j, real=True)
+    a = F.ScalarField(grid16, np.cos(2 * np.pi * 5 * x[0]) + 0j)
+    b = F.ScalarField(grid16, np.cos(2 * np.pi * 6 * x[0]) + 0j)
     exact = 0.5 * (np.cos(2 * np.pi * 11 * x[0]) + np.cos(2 * np.pi * x[0]))
     plain = F.pointwise(a, b, "ss").values
     deal = F.pointwise(a, b, "ss", dealias=True).values
@@ -130,15 +130,6 @@ def test_field_shape_validation(grid16):
         F.ScalarField(grid16, np.zeros((3,) + grid16.n))
 
 
-def test_real_flag_check(grid16):
-    vals = np.full(grid16.n, 1.0 + 1e-3j)
-    f = F.ScalarField(grid16, vals, real=True)
-    with pytest.raises(ValueError):
-        f.check_real()
-    g = F.ScalarField(grid16, vals.real + 0j, real=True)
-    assert g.check_real() == 0.0
-
-
 def test_coefficient_validation(grid16):
     vals = np.zeros((3, 3) + grid16.n, dtype=complex)
     vals[0, 0] = vals[1, 1] = vals[2, 2] = 1.0
@@ -170,7 +161,7 @@ def test_mxhf_round_trip(tmp_path, grid16):
     F.write_field(path, v)
     back = F.read_field(path, grid16)
     assert isinstance(back, F.VectorField)
-    assert back.real
+    assert back.values.dtype == np.float64
     assert np.array_equal(back.values, v.values)
     # header is little-endian magic + 5 uint32 words
     raw = path.read_bytes()
@@ -347,7 +338,7 @@ def test_field_storage_follows_sample_dtype(grid16):
 def test_mxhf_bytes_independent_of_storage(tmp_path, grid16):
     v = random_band_vector(grid16, 4, 5)
     assert v.values.dtype == np.float64
-    c = F.VectorField(grid16, v.values.astype(complex), real=True)
+    c = F.VectorField(grid16, v.values.astype(complex))
     F.write_field(tmp_path / "float.mxhf", v)
     F.write_field(tmp_path / "complex.mxhf", c)
     assert (tmp_path / "float.mxhf").read_bytes() == (tmp_path / "complex.mxhf").read_bytes()
@@ -460,7 +451,7 @@ def test_rescale_periodic_is_one_contiguous_gather(cubic, shape, n):
     grid = mh.GridSpec(shape, cubic)
     rng = np.random.default_rng(n + shape[1])
     for cls in (F.ScalarField, F.VectorField, F.MatrixField):
-        f = cls(grid, rng.standard_normal(cls.RANK_SHAPE + shape), real=True)
+        f = cls(grid, rng.standard_normal(cls.RANK_SHAPE + shape))
         got = F.rescale_periodic(f, n, grid)
         assert type(got) is cls and got.values.flags.c_contiguous
         assert np.array_equal(got.values, _fancy_rescale(f.values, n, shape))
@@ -481,10 +472,10 @@ def test_period_count_below_one_rejected(grid16, n):
 @pytest.mark.parametrize("dealias", [False, True])
 def test_pointwise_rejects_removed_product_kinds(grid16, spec, dealias):
     # factors of the shapes the removed kinds took: scalar * matrix, <vector, vector>
-    a = (F.ScalarField(grid16, np.ones(grid16.n), real=True) if spec == "sm"
-         else F.VectorField(grid16, np.ones((3,) + grid16.n), real=True))
-    b = (F.MatrixField(grid16, np.ones((3, 3) + grid16.n), real=True) if spec == "sm"
-         else F.VectorField(grid16, np.ones((3,) + grid16.n), real=True))
+    a = (F.ScalarField(grid16, np.ones(grid16.n)) if spec == "sm"
+         else F.VectorField(grid16, np.ones((3,) + grid16.n)))
+    b = (F.MatrixField(grid16, np.ones((3, 3) + grid16.n)) if spec == "sm"
+         else F.VectorField(grid16, np.ones((3,) + grid16.n)))
     with pytest.raises(ValueError, match="unknown product spec"):
         F.pointwise(a, b, spec, dealias=dealias)
 
@@ -544,3 +535,28 @@ def test_half_spectrum_elliptic_cg_matches_c2c_cg(cubic):
         got = F.irfft_vals(grid, xh)
         assert abs(info.iterations - ref_info.iterations) <= 1
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("entry, value", [((0, 0), 2 + 5j), ((0, 1), 0.5j)])
+def test_coefficient_rejects_a_nonzero_imaginary_part(grid16, entry, value):
+    # a complex diagonal, and a complex-symmetric off-diagonal pair
+    vals = np.zeros((3, 3) + grid16.n, dtype=complex)
+    vals[0, 0] = vals[1, 1] = vals[2, 2] = 2.0
+    vals[entry] = vals[entry[::-1]] = value
+    with pytest.raises(ValueError, match="imaginary"):
+        F.CoefficientField(F.MatrixField(grid16, vals))
+    vals[entry] = vals[entry[::-1]] = value.real
+    coef = F.CoefficientField(F.MatrixField(grid16, vals))  # zero imaginary part
+    assert np.array_equal(coef.values, vals.real)
+
+
+def test_mxhf_round_trip_of_a_complex_field(tmp_path, grid16):
+    x = random_band_vector(grid16, 4, 5).values
+    F.write_field(tmp_path / "complex.mxhf", F.VectorField(grid16, 1j * x))
+    F.write_field(tmp_path / "real.mxhf", F.VectorField(grid16, x))
+    flags = {name: int.from_bytes((tmp_path / f"{name}.mxhf").read_bytes()[20:24], "little")
+             for name in ("complex", "real")}
+    assert flags == {"complex": 0, "real": 1}
+    back = F.read_field(tmp_path / "complex.mxhf", grid16)
+    assert back.values.dtype == np.complex128
+    assert np.array_equal(back.values.view(float), (1j * x).view(float))

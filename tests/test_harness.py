@@ -92,7 +92,7 @@ def test_layered_oracle_smoothed_width_limit():
 
 def test_random_divfree_field_properties(grid16):
     v = random_divfree_field(grid16, 5, 3)
-    assert v.check_real() < 1e-12
+    assert v.values.dtype == np.float64
     assert F.l2_norm(F.divergence(v)) < 1e-12 * F.l2_norm(v)
     assert np.max(np.abs(F.mean(v))) < 1e-13
     vh = F.fftn(v.values) / grid16.size
@@ -244,3 +244,10 @@ def test_negative_coefficient_seed_is_invalid(grid16):
 def test_two_phase_kinds_require_alpha_and_beta(grid16, kind, params, missing):
     with pytest.raises(InvalidParams, match=f"{kind}.*{missing}"):
         mh.generate_coefficient(CoefficientDescriptor(kind, params), grid16)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-320, float("nan"), -0.5, 0.3])
+def test_eps_periods_maps_an_eps_not_one_over_n_to_invalid_params(eps):
+    with pytest.raises(InvalidParams, match="is not of the form 1/n"):
+        mh.harness.eps_periods(eps, (16, 16, 16))
+    assert mh.harness.eps_periods(0.25, (16, 16, 16)) == 4

@@ -35,7 +35,7 @@ def test_leray_single_mode_formula(grid16):
     x = grid16.coords()
     vals = np.zeros((3,) + grid16.n, dtype=complex)
     vals[0] = np.sin(2 * np.pi * x[0])
-    f = F.VectorField(grid16, vals, real=True)
+    f = F.VectorField(grid16, vals)
     out = mh.leray_project_weighted(f, np.eye(3))
     # sin(2 pi x1) e1 is a pure gradient: projection annihilates it
     assert np.max(np.abs(out.values)) < 1e-13
@@ -140,10 +140,10 @@ def test_symbol_matches_apply_for_constant_coefficients(grid16):
     b0 = np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 1.5]])
     const_a = F.CoefficientField(F.MatrixField(
         grid16, np.broadcast_to(a0.reshape(3, 3, 1, 1, 1) + 0j,
-                                (3, 3) + grid16.n).copy(), real=True))
+                                (3, 3) + grid16.n).copy()))
     const_b = F.CoefficientField(F.MatrixField(
         grid16, np.broadcast_to(b0.reshape(3, 3, 1, 1, 1) + 0j,
-                                (3, 3) + grid16.n).copy(), real=True))
+                                (3, 3) + grid16.n).copy()))
     u = random_band_vector(grid16, 5, 7).values
     via_apply = apply_sym(grid16, const_a.power(0.5).values,
                           const_a.power(-0.5).values, const_b.inv().values,
@@ -999,3 +999,11 @@ def test_first_order_approx_of_a_real_base_is_float64(grid16, correctors_r):
     psi = mh.first_order_approx(x, y, correctors_r,
                                 steklov_multiplier(grid16.lattice, grid16, 0.5))
     assert psi.values.dtype == np.float64
+
+
+def test_first_order_approx_rejects_an_eps_not_one_over_n(grid16, correctors_r):
+    # 1/0.3 rounds to 3 periods, which the grid would accept
+    x = random_band_vector(grid16, 4, 75)
+    with pytest.raises(ValueError, match="1/n"):
+        mh.first_order_approx(x, x, correctors_r,
+                              steklov_multiplier(grid16.lattice, grid16, 0.3))

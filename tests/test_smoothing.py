@@ -46,7 +46,7 @@ def test_closed_form_matches_quadrature_on_sheared_lattice():
 
 
 def test_apply_constant_unchanged(cubic, grid16):
-    c = F.ScalarField(grid16, np.full(grid16.n, 3.3 + 0j), real=True)
+    c = F.ScalarField(grid16, np.full(grid16.n, 3.3 + 0j))
     mult = steklov_multiplier(cubic, grid16, eps=0.25)
     out = steklov_apply(c, mult)
     assert np.max(np.abs(out.values - c.values)) < 1e-14
