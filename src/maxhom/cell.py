@@ -5,7 +5,7 @@ periodic potential P_j solves  div a(x) (grad P_j + e_j) = 0.  The solve is
 preconditioned CG on the spectral collocation operator -div a grad, with the
 constant-coefficient operator -div mean(a) grad (exactly invertible in
 Fourier space) as preconditioner; its vectors stay on the half spectrum (see
-:mod:`maxhom.operators`).  Derived objects:
+:mod:`maxhom.operators`).  Objects; G and Wstar are built on each read:
 
     Y          matrix with columns grad P_j           zero mean
     tilde      a (Y + 1)                              divergence-free columns
@@ -41,7 +41,8 @@ route for f_lj, see tests).
 Antisymmetric potentials: U_li is the zero-mean periodic solution of
 Laplace U_li = tilde_li - effective_li (exact in Fourier) and
 M_lj^(i) = d_j U_li - d_l U_ji; then M_lj^(i) = -M_jl^(i) and
-sum_j d_j M_lj^(i) reproduces tilde_li - effective_li.
+sum_j d_j M_lj^(i) reproduces tilde_li - effective_li.  Only the error-bound
+proof uses them, so no solve builds them; `CorrectorSet.U` / `.M` do on read.
 """
 
 from __future__ import annotations
@@ -91,22 +92,30 @@ _EYE3 = np.eye(3)
 
 @dataclass
 class CellSolution:
-    """Everything produced by one scalar cell solve."""
+    """What one scalar cell solve produced; each read of G or Wstar builds it anew."""
 
     coefficient: CoefficientField
     potentials: list[ScalarField]
     Y: MatrixField
     tilde: MatrixField
     effective: np.ndarray
-    G: MatrixField
-    Wstar: MatrixField
     residuals: np.ndarray
     iterations: tuple
-    effective_asymmetry: float
 
     @property
     def grid(self) -> GridSpec:
         return self.coefficient.grid
+
+    @property
+    def G(self) -> MatrixField:
+        g_vals = np.einsum("ij...,jk->ik...", self.tilde.values, np.linalg.inv(self.effective))
+        return MatrixField(self.grid, g_vals - _EYE3.reshape(3, 3, 1, 1, 1))
+
+    @property
+    def Wstar(self) -> MatrixField:
+        return MatrixField(self.grid, np.einsum(
+            "ij...,jk...,kl->il...", self.coefficient.power_vals(0.5),
+            self.Y.values + _EYE3.reshape(3, 3, 1, 1, 1), matrix_inv_sqrt(self.effective)))
 
 
 def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
@@ -130,36 +139,18 @@ def solve_scalar_cell(a: CoefficientField, tol: float = 1e-9,
         potentials.append(ScalarField(grid, irfft_vals(grid, ph)))
         grads.append(irfft_vals(grid, grad_hat(grid, ph)))
 
-    y_vals = np.stack([np.stack([grads[j][i] for j in range(3)])
-                       for i in range(3)])
-    Y = MatrixField(grid, y_vals)
-    tilde_vals = np.einsum("ik...,kj...->ij...", av, y_vals + _EYE3.reshape(3, 3, 1, 1, 1))
-    tilde = MatrixField(grid, tilde_vals)
+    y_vals = np.stack(grads, axis=1)  # [i, j] is d_i P_j
+    tilde = MatrixField(grid, np.einsum("ik...,kj...->ij...", av,
+                                        y_vals + _EYE3.reshape(3, 3, 1, 1, 1)))
     eff_raw = mean(tilde)
-    effective = 0.5 * (eff_raw + eff_raw.T)
-    asym = float(np.max(np.abs(eff_raw - eff_raw.T)))
-    g_vals = np.einsum("ij...,jk->ik...", tilde_vals, np.linalg.inv(effective))
-    g_vals = g_vals - _EYE3.reshape(3, 3, 1, 1, 1)
-    G = MatrixField(grid, g_vals)
-    w_vals = np.einsum(
-        "ij...,jk...,kl->il...",
-        a.power_vals(0.5),
-        y_vals + _EYE3.reshape(3, 3, 1, 1, 1),
-        matrix_inv_sqrt(effective),
-    )
-    Wstar = MatrixField(grid, w_vals)
-    residuals = np.array([inf.residual for inf in infos])
     return CellSolution(
         coefficient=a,
         potentials=potentials,
-        Y=Y,
+        Y=MatrixField(grid, y_vals),
         tilde=tilde,
-        effective=effective,
-        G=G,
-        Wstar=Wstar,
-        residuals=residuals,
+        effective=0.5 * (eff_raw + eff_raw.T),
+        residuals=np.array([inf.residual for inf in infos]),
         iterations=tuple(inf.iterations for inf in infos),
-        effective_asymmetry=asym,
     )
 
 
@@ -247,12 +238,11 @@ def build_antisym_potentials(cell: CellSolution) -> tuple[np.ndarray, np.ndarray
 
 @dataclass
 class CorrectorSet:
-    """Vector cell solutions f_lj with their assembled and derived objects."""
+    """What the nine vector cell solves of a branch produced.  Each read of f,
+    Lambda (i over_i) or U, M (main cell's antisymmetric potentials) builds it anew."""
 
     branch: str
     over_i: np.ndarray  # [l, :, j] is f_lj / i, [l] is Lambda_l / i (float64)
-    U: np.ndarray  # [l, i] scalar potentials over the grid
-    M: np.ndarray  # [i, l, j] antisymmetric fields over the grid
     lambda_norms: np.ndarray  # ||Lambda_l||_L2 / |Omega|^{1/2}
     residuals: np.ndarray
     iterations: np.ndarray
@@ -269,6 +259,9 @@ class CorrectorSet:
     f = property(lambda cs: [[VectorField(cs.grid, 1j * cs.over_i[l, :, j]) for j in range(3)]
                              for l in range(3)])
     Lambda = property(lambda cs: [MatrixField(cs.grid, 1j * cs.over_i[l]) for l in range(3)])
+    # U[l, i] scalar potentials and M[i, l, j] antisymmetric fields over the grid
+    U = property(lambda cs: build_antisym_potentials(cs.a_cell)[0])
+    M = property(lambda cs: build_antisym_potentials(cs.a_cell)[1])
 
 
 class BranchError(ValueError):
@@ -313,7 +306,7 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
                       branch: str, tol: float = 1e-9,
                       maxiter: int = 20000,
                       check_identities: bool = True) -> CorrectorSet:
-    """Solve the nine vector cell problems of a branch and derive everything.
+    """Solve the nine vector cell problems of a branch and check their identities.
 
     Both scalar cell solutions must be converged.  Raises
     :class:`~maxhom.solvers.NoConvergence` on stall.  check_identities=False
@@ -359,14 +352,11 @@ def solve_vector_cell(eta_cell: CellSolution, mu_cell: CellSolution,
 
     lam_norms = np.array([l2_norm_vals(grid, m) for m in over_i]) / np.sqrt(grid.cell_volume)
 
-    U, M = build_antisym_potentials(a_cell)
     div_slack, rot_slack = (_corrector_identity_slacks(a_cell, b_cell, over_i)
                             if check_identities else (None, None))
     return CorrectorSet(
         branch=branch,
         over_i=over_i,
-        U=U,
-        M=M,
         lambda_norms=lam_norms,
         residuals=residuals,
         iterations=iterations,

@@ -507,9 +507,11 @@ def arithmetic_mean_matrix(a: CoefficientField) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"MXHF"
+_HEADER = struct.Struct("<4sIIIII")
 _RANK_OF = {ScalarField: 0, VectorField: 1, MatrixField: 2}
 _CLS_OF_RANK = {0: ScalarField, 1: VectorField, 2: MatrixField}
 _FLAG_REAL = 1
+_LAYOUT = "MXHF is a 24-byte header (magic, rank 0/1/2, n1, n2, n3, flags), 16 bytes per sample"
 
 
 def write_field(path, f: Field) -> None:
@@ -519,7 +521,7 @@ def write_field(path, f: Field) -> None:
     v = f.values
     flags = _FLAG_REAL if np.isrealobj(v) or not np.any(v.imag) else 0
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIII", _MAGIC, _RANK_OF[type(f)], *f.grid.n, flags))
+        fh.write(_HEADER.pack(_MAGIC, _RANK_OF[type(f)], *f.grid.n, flags))
         fh.write(np.ascontiguousarray(v, dtype="<c16").tobytes())
 
 
@@ -527,13 +529,19 @@ def read_field(path, grid: GridSpec) -> Field:
     """Field of an MXHF dump: float64 samples when flags bit 0 is set (every
     imaginary part is zero, so nothing is lost), complex128 otherwise."""
     with open(path, "rb") as fh:
-        magic, rank, n1, n2, n3, flags = struct.unpack("<4sIIIII", fh.read(24))
-        if magic != _MAGIC:
-            raise ValueError(f"not an MXHF file: magic {magic!r}")
-        if (n1, n2, n3) != grid.n:
-            raise GridMismatch(f"file grid {(n1, n2, n3)} vs {grid.n}")
-        cls = _CLS_OF_RANK[rank]
-        vals = np.frombuffer(fh.read(), dtype="<c16").reshape(cls.RANK_SHAPE + grid.n)
+        head, body = fh.read(_HEADER.size), fh.read()
+    if len(head) < _HEADER.size or head[:4] != _MAGIC:
+        raise ValueError(f"{path}: not an MXHF header: {head!r}; {_LAYOUT}")
+    _, rank, n1, n2, n3, flags = _HEADER.unpack(head)
+    if (n1, n2, n3) != grid.n:
+        raise GridMismatch(f"{path}: file grid {(n1, n2, n3)} vs {grid.n}")
+    if rank not in _CLS_OF_RANK:
+        raise ValueError(f"{path}: rank {rank}; {_LAYOUT}")
+    cls = _CLS_OF_RANK[rank]
+    shape = cls.RANK_SHAPE + grid.n
+    if len(body) != 16 * np.prod(shape):
+        raise ValueError(f"{path}: {len(body)} sample bytes for shape {shape}; {_LAYOUT}")
+    vals = np.frombuffer(body, dtype="<c16").reshape(shape)
     return cls(grid, (vals.real if flags & _FLAG_REAL else vals).copy())
 
 

@@ -20,7 +20,6 @@ import time
 from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
-from scipy import integrate
 
 from .cell import CellSolution, period_count, requested_branches, solve_scalar_cell
 from .fields import (
@@ -215,6 +214,7 @@ def layered_oracle(alpha: float, beta: float, fill: float) -> np.ndarray:
 def layered_oracle_smoothed(alpha: float, beta: float, fill: float,
                             width: float, axis: int = 0) -> np.ndarray:
     """Effective tensor of the smoothed layered profile by 1D quadrature."""
+    from scipy import integrate  # only caller; keeps it out of `import maxhom`
 
     def prof(t):
         return beta + (alpha - beta) * smoothed_pulse(np.asarray(t), fill, width)

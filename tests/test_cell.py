@@ -444,3 +444,44 @@ def test_multiplier_functions_raise_value_error_for_a_degenerate_eps(cell_eta, g
     bounds = mh.estimate_multiplier_bounds(cell_eta, [0.25], 2, seed=0)
     with pytest.raises(ValueError, match="1/n"):
         mh.multiplier_check(cell_eta.Y, random_band_vector(grid32, 4, 1), eps, bounds)
+
+
+def test_cell_and_corrector_results_store_only_what_their_solves_produced():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(mh.CellSolution)] == [
+        "coefficient", "potentials", "Y", "tilde", "effective", "residuals", "iterations"]
+    names = {f.name for f in dataclasses.fields(mh.CorrectorSet)}
+    assert not names & {"U", "M"}
+
+
+def test_g_and_wstar_reads_are_their_defining_products(cell_eta):
+    from maxhom.operators import matrix_inv_sqrt
+    eye = np.eye(3).reshape(3, 3, 1, 1, 1)
+    g = np.einsum("ij...,jk->ik...", cell_eta.tilde.values,
+                  np.linalg.inv(cell_eta.effective)) - eye
+    w = np.einsum("ij...,jk...,kl->il...", cell_eta.coefficient.power_vals(0.5),
+                  cell_eta.Y.values + eye, matrix_inv_sqrt(cell_eta.effective))
+    assert np.array_equal(cell_eta.G.values, g)
+    assert np.array_equal(cell_eta.Wstar.values, w)
+    assert cell_eta.G.grid is cell_eta.grid and cell_eta.Wstar.grid is cell_eta.grid
+
+
+def test_antisym_potential_reads_equal_a_fresh_build(correctors_r):
+    U, M = mh.build_antisym_potentials(correctors_r.a_cell)
+    assert np.array_equal(correctors_r.U, U)
+    assert np.array_equal(correctors_r.M, M)
+
+
+def test_solve_vector_cell_builds_no_antisym_potentials(monkeypatch, grid16):
+    import maxhom.cell as cell_mod
+    calls = []
+    build = cell_mod.build_antisym_potentials
+    monkeypatch.setattr(cell_mod, "build_antisym_potentials",
+                        lambda cell: calls.append(cell) or build(cell))
+    cells = [mh.solve_scalar_cell(mh.generate_coefficient(
+        mh.CoefficientDescriptor("trig_isotropic", {"base": b, "amplitude": 1.0, "axis": ax}),
+        grid16), tol=1e-9) for b, ax in ((2.0, 0), (3.0, 1))]
+    cs = mh.solve_vector_cell(*cells, "r", tol=1e-8, check_identities=False)
+    assert calls == []
+    assert cs.M.shape == (3, 3, 3) + grid16.n
+    assert len(calls) == 1

@@ -560,3 +560,29 @@ def test_mxhf_round_trip_of_a_complex_field(tmp_path, grid16):
     back = F.read_field(tmp_path / "complex.mxhf", grid16)
     assert back.values.dtype == np.complex128
     assert np.array_equal(back.values.view(float), (1j * x).view(float))
+
+
+def _mxhf_file(path, header_words, n_samples):
+    import struct
+    path.write_bytes(struct.pack("<4sIIIII", b"MXHF", *header_words)
+                     + np.zeros(n_samples, dtype="<c16").tobytes())
+    return path
+
+
+def test_read_field_names_the_file_for_a_short_header(tmp_path, cubic):
+    path = tmp_path / "short.mxhf"
+    path.write_bytes(b"MXHF\x01\x00")
+    with pytest.raises(ValueError, match=r"short\.mxhf.*not an MXHF header.*24-byte header"):
+        F.read_field(path, mh.GridSpec((4, 4, 4), cubic))
+
+
+def test_read_field_names_the_file_for_an_unknown_rank(tmp_path, cubic):
+    path = _mxhf_file(tmp_path / "rank7.mxhf", (7, 4, 4, 4, 1), 64)
+    with pytest.raises(ValueError, match=r"rank7\.mxhf.*rank 7.*rank 0/1/2"):
+        F.read_field(path, mh.GridSpec((4, 4, 4), cubic))
+
+
+def test_read_field_names_the_file_for_a_truncated_sample_block(tmp_path, cubic):
+    path = _mxhf_file(tmp_path / "short_body.mxhf", (1, 4, 4, 4, 1), 64)
+    with pytest.raises(ValueError, match=r"short_body\.mxhf.*1024 sample bytes.*\(3, 4, 4, 4\)"):
+        F.read_field(path, mh.GridSpec((4, 4, 4), cubic))

@@ -251,3 +251,16 @@ def test_eps_periods_maps_an_eps_not_one_over_n_to_invalid_params(eps):
     with pytest.raises(InvalidParams, match="is not of the form 1/n"):
         mh.harness.eps_periods(eps, (16, 16, 16))
     assert mh.harness.eps_periods(0.25, (16, 16, 16)) == 4
+
+
+def test_import_maxhom_leaves_scipy_integrate_unloaded():
+    import os
+    import subprocess
+    import sys
+    import maxhom
+    from pathlib import Path
+    src = str(Path(maxhom.__file__).resolve().parents[1])
+    code = "import sys, maxhom; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
